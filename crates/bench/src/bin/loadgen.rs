@@ -10,12 +10,9 @@
 //! ```text
 //! loadgen [--clients N] [--requests N] [--relations N] [--rows N]
 //!         [--views N] [--users N] [--grants N] [--workers N] [--seed S]
-//!         [--out FILE] [--obs-report FILE] [--assert-overhead PCT]
-//!         [--churn N] [--churn-out FILE] [--churn-journal FILE]
-//!         [--assert-retention PCT]
-//!         [--trace-report FILE] [--assert-trace-overhead PCT]
-//!         [--prof-report FILE] [--assert-prof-overhead PCT]
-//!         [--insight-report FILE] [--assert-insight-overhead PCT]
+//!         [--out FILE] [--churn N] [--churn-out FILE]
+//!         [--churn-journal FILE] [--assert-retention PCT]
+//!         [--overhead-report FILE] [--assert-overhead PCT]
 //! ```
 //!
 //! `--workers` sizes the partitioned mask-pipeline executor inside each
@@ -37,41 +34,27 @@
 //! invalidation. `--churn-journal FILE` journals the churn run so
 //! `motro-audit replay` can verify it byte-for-byte.
 //!
-//! With `--obs-report`, additionally measures the cost of the
-//! observability layer: three interleaved pairs of runs with telemetry
-//! disabled/enabled — the enabled side records metrics, rolls the
-//! sliding window, and appends to an audit journal (fsync off) —
-//! reporting the smallest per-pair p50 ratio (the minimum damps
-//! scheduler noise) plus the resulting metrics snapshot (verified to
-//! parse as JSON) and percentiles re-derived client-side from the
-//! snapshot's shipped `bucket_bounds_ns`. `--assert-overhead PCT`
-//! exits non-zero when the measured overhead exceeds the bound — the
-//! CI guardrail.
+//! With `--overhead-report`, additionally measures what each
+//! observability layer costs, in one loop that interleaves four
+//! comparisons of off/on run pairs over the same world:
 //!
-//! With `--trace-report`, additionally measures the cost of the
-//! tracing pipeline (DESIGN.md §6f) the same way: three interleaved
-//! pairs of tracing-off/tracing-on runs — the on side head-samples at
-//! 1.0, so *every* request mints a context, runs under a profile
-//! session, passes tail retention, and lands in the trace store —
-//! reporting the smallest per-pair p50 ratio.
-//! `--assert-trace-overhead PCT` is the CI guardrail.
+//! - `obs` (DESIGN.md §6b): recording off vs on, with a 1 s window and
+//!   an audit journal (fsync off); 3 pairs.
+//! - `trace` (§6f): recording on, tracing off vs on at sample 1.0 with
+//!   a 256-trace store, so every request is traced and retained; 5 pairs.
+//! - `prof` (§6g): recording on, `--prof` off vs on with allocation
+//!   counting; 5 pairs.
+//! - `insight` (§6h): recording on, rollups off vs on; 5 pairs.
 //!
-//! With `--prof-report`, additionally measures the cost of continuous
-//! profiling (DESIGN.md §6g) the same way: five interleaved pairs of
-//! prof-off/prof-on runs — the on side profiles every request, counts
-//! its allocations (this binary installs the counting allocator),
-//! folds each finished tree into the global aggregate, and charges the
-//! per-user cost ledger — reporting the smallest per-pair p50 ratio
-//! plus collapsed-stack and ledger sanity checks.
-//! `--assert-prof-overhead PCT` is the CI guardrail.
-//!
-//! With `--insight-report`, additionally measures the cost of the
-//! authorization-analytics layer (DESIGN.md §6h) the same way: five
-//! interleaved pairs of insight-off/insight-on runs — the on side
-//! folds every request's mask outcome and R2 tally into the
-//! per-(principal, views, relations) rollups — reporting the smallest
-//! per-pair p50 ratio plus a rollup-count sanity check.
-//! `--assert-insight-overhead PCT` is the CI guardrail.
+//! Each layer's smallest per-pair p50 ratio (the minimum damps
+//! scheduler noise, since no real overhead makes a pair faster) lands in
+//! the JSON under the layer's name, after checks that the on sides did
+//! their work: the metrics snapshot parses and its percentiles re-derive
+//! from the shipped `bucket_bounds_ns`, the journal advanced, every
+//! prof-on request folded into a collapsed profile, and the rollups and
+//! the per-principal cost table summed from them account for every
+//! insight-on request. `--assert-overhead PCT` exits non-zero when any
+//! layer exceeds the bound — the CI guardrail.
 
 use motro_authz::{Frontend, SharedFrontend};
 use motro_bench::{ScaledWorld, WorldParams};
@@ -79,8 +62,8 @@ use motro_server::{Client, JournalConfig, Server, ServerConfig};
 use serde_json::{Map, Number, Value};
 use std::time::Instant;
 
-/// Counting wrapper around the system allocator, so the prof-overhead
-/// experiment measures the real `--prof` configuration (counting off,
+/// Counting wrapper around the system allocator, so the `prof` overhead
+/// layer measures the real `--prof` configuration (counting off,
 /// the wrapper costs one relaxed atomic load per allocation).
 #[global_allocator]
 static ALLOC: motro_obs::alloc::CountingAlloc = motro_obs::alloc::CountingAlloc::system();
@@ -96,18 +79,12 @@ struct Args {
     workers: usize,
     seed: u64,
     out: String,
-    obs_report: Option<String>,
-    assert_overhead: Option<f64>,
     churn: usize,
     churn_out: String,
     churn_journal: Option<String>,
     assert_retention: Option<f64>,
-    trace_report: Option<String>,
-    assert_trace_overhead: Option<f64>,
-    prof_report: Option<String>,
-    assert_prof_overhead: Option<f64>,
-    insight_report: Option<String>,
-    assert_insight_overhead: Option<f64>,
+    overhead_report: Option<String>,
+    assert_overhead: Option<f64>,
 }
 
 impl Default for Args {
@@ -127,18 +104,12 @@ impl Default for Args {
             workers: 1,
             seed: 7,
             out: "BENCH_server_cache.json".to_owned(),
-            obs_report: None,
-            assert_overhead: None,
             churn: 0,
             churn_out: "BENCH_invalidation_churn.json".to_owned(),
             churn_journal: None,
             assert_retention: None,
-            trace_report: None,
-            assert_trace_overhead: None,
-            prof_report: None,
-            assert_prof_overhead: None,
-            insight_report: None,
-            assert_insight_overhead: None,
+            overhead_report: None,
+            assert_overhead: None,
         }
     }
 }
@@ -169,14 +140,6 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| usage())
             }
             "--out" => a.out = it.next().unwrap_or_else(|| usage()),
-            "--obs-report" => a.obs_report = Some(it.next().unwrap_or_else(|| usage())),
-            "--assert-overhead" => {
-                a.assert_overhead = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
             "--churn" => num(&mut a.churn),
             "--churn-out" => a.churn_out = it.next().unwrap_or_else(|| usage()),
             "--churn-journal" => a.churn_journal = Some(it.next().unwrap_or_else(|| usage())),
@@ -187,25 +150,9 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|| usage()),
                 )
             }
-            "--trace-report" => a.trace_report = Some(it.next().unwrap_or_else(|| usage())),
-            "--assert-trace-overhead" => {
-                a.assert_trace_overhead = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--prof-report" => a.prof_report = Some(it.next().unwrap_or_else(|| usage())),
-            "--assert-prof-overhead" => {
-                a.assert_prof_overhead = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--insight-report" => a.insight_report = Some(it.next().unwrap_or_else(|| usage())),
-            "--assert-insight-overhead" => {
-                a.assert_insight_overhead = Some(
+            "--overhead-report" => a.overhead_report = Some(it.next().unwrap_or_else(|| usage())),
+            "--assert-overhead" => {
+                a.assert_overhead = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| usage()),
@@ -221,20 +168,20 @@ fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--clients N] [--requests N] [--relations N] [--rows N] \
          [--views N] [--users N] [--grants N] [--workers N] [--seed S] [--out FILE] \
-         [--obs-report FILE] [--assert-overhead PCT] [--churn N] [--churn-out FILE] \
-         [--churn-journal FILE] [--assert-retention PCT] [--trace-report FILE] \
-         [--assert-trace-overhead PCT] [--prof-report FILE] [--assert-prof-overhead PCT] \
-         [--insight-report FILE] [--assert-insight-overhead PCT]"
+         [--churn N] [--churn-out FILE] [--churn-journal FILE] [--assert-retention PCT] \
+         [--overhead-report FILE] [--assert-overhead PCT]"
     );
     std::process::exit(2);
 }
 
-/// Per-run server shape for [`run`]: which optional subsystems the
-/// measured server carries. Defaults to the bare configuration every
-/// overhead experiment uses as its baseline — cache on, no journal,
-/// no tracing, no profiling, no insight — so each experiment's "on"
-/// side flips exactly the subsystem it measures.
+/// Per-run server shape for [`run`]: whether recording is on and which
+/// optional subsystems the measured server carries. Defaults to the
+/// bare configuration the overhead layers start from — recording and
+/// cache on, no journal, no tracing, no profiling, no insight — so each
+/// layer flips exactly what it measures.
+#[derive(Clone)]
 struct RunConfig {
+    recording: bool,
     cache_capacity: usize,
     journal: Option<JournalConfig>,
     trace: Option<(usize, f64)>,
@@ -245,6 +192,7 @@ struct RunConfig {
 impl Default for RunConfig {
     fn default() -> RunConfig {
         RunConfig {
+            recording: true,
             cache_capacity: 1024,
             journal: None,
             trace: None,
@@ -263,6 +211,7 @@ fn run(
     args: &Args,
     config: RunConfig,
 ) -> (Vec<u64>, f64, u64, u64) {
+    motro_obs::set_enabled(config.recording);
     let mut fe = Frontend::with_database(world.db.clone());
     *fe.auth_store_mut() = world.store.clone();
     fe.set_exec_config(motro_authz::rel::ExecConfig::with_workers(args.workers));
@@ -427,349 +376,166 @@ fn derived_percentiles(parsed: &Value) -> Map<String, Value> {
     out
 }
 
-/// The shared skeleton of every paired-overhead experiment:
-/// `n` interleaved off/on run pairs over the same world, where `off`
-/// produces a baseline run's latencies and `on` the instrumented
-/// configuration's. Reports the smallest per-pair p50 ratio — the
-/// minimum damps scheduler noise, since no real overhead can make a
-/// pair *faster*. Returns the per-pair report entries and the
-/// overhead percentage.
-fn overhead_pairs(
-    label: &str,
-    n: usize,
-    mut off: impl FnMut() -> Vec<u64>,
-    mut on: impl FnMut() -> Vec<u64>,
-) -> (Vec<Value>, f64) {
-    let mut pairs = Vec::new();
-    let mut best_ratio = f64::INFINITY;
-    for i in 0..n {
-        let lat_off = off();
-        let lat_on = on();
-        let (p50_off, p50_on) = (p50_of(lat_off.clone()), p50_of(lat_on.clone()));
-        let ratio = p50_on as f64 / (p50_off as f64).max(1.0);
-        best_ratio = best_ratio.min(ratio);
-        eprintln!(
-            "  {label} pair {}/{n}: p50 off {}us, on {}us (ratio {ratio:.3})",
-            i + 1,
-            p50_off / 1_000,
-            p50_on / 1_000
-        );
-        let mut pair = Map::new();
-        let num = |v: u64| Value::Number(Number::from(v));
-        pair.insert("off_p50_us".to_owned(), num(p50_off / 1_000));
-        pair.insert("on_p50_us".to_owned(), num(p50_on / 1_000));
-        pair.insert(
-            "off_mean_us".to_owned(),
-            num(mean_ns(&lat_off) as u64 / 1_000),
-        );
-        pair.insert(
-            "on_mean_us".to_owned(),
-            num(mean_ns(&lat_on) as u64 / 1_000),
-        );
-        pairs.push(Value::Object(pair));
-    }
-    (pairs, (best_ratio - 1.0) * 100.0)
+/// The four overhead layers: name, pair count, and the off and on
+/// server shapes of each pair (see the module docs).
+fn layers(journal: &std::path::Path) -> [(&'static str, usize, RunConfig, RunConfig); 4] {
+    let base = RunConfig::default;
+    let quiet = RunConfig {
+        recording: false,
+        ..base()
+    };
+    let journaled = RunConfig {
+        journal: Some(JournalConfig::new(journal)),
+        ..base()
+    };
+    let traced = RunConfig {
+        trace: Some((256, 1.0)),
+        ..base()
+    };
+    let profiled = RunConfig {
+        prof: true,
+        ..base()
+    };
+    let rolled_up = RunConfig {
+        insight: true,
+        ..base()
+    };
+    [
+        ("obs", 3, quiet, journaled),
+        ("trace", 5, base(), traced),
+        ("prof", 5, base(), profiled),
+        ("insight", 5, base(), rolled_up),
+    ]
 }
 
-/// Measure the observability layer's cost: interleaved disabled/enabled
-/// run pairs over the same world and statements. The enabled runs carry
-/// the full telemetry load — metrics, windowing, and an audit journal
-/// (fsync off) — so the measured overhead is what production pays.
-/// Returns the report map and the overhead percentage (smallest
-/// per-pair p50 ratio).
-fn obs_overhead(world: &ScaledWorld, stmts: &[String], args: &Args) -> (Map<String, Value>, f64) {
-    const PAIRS: usize = 3;
+/// Measure every layer's overhead in one interleaved loop and check
+/// that the on sides did their work. Returns the report (one entry per
+/// layer) and each layer's overhead percentage.
+fn overhead(
+    world: &ScaledWorld,
+    stmts: &[String],
+    args: &Args,
+) -> (Map<String, Value>, Vec<(&'static str, f64)>) {
     motro_obs::window::global().configure(motro_obs::window::WindowConfig {
         window: std::time::Duration::from_secs(1),
         retention: 6,
     });
-    let journal_path = std::env::temp_dir().join(format!(
+    motro_obs::prof::global().reset();
+    motro_obs::insight::global().reset();
+    let journal = std::env::temp_dir().join(format!(
         "motro-loadgen-{}-journal.jsonl",
         std::process::id()
     ));
-    let (pairs, overhead_pct) = overhead_pairs(
-        "obs",
-        PAIRS,
-        || {
-            motro_obs::set_enabled(false);
-            run(world, stmts, args, RunConfig::default()).0
-        },
-        || {
-            motro_obs::set_enabled(true);
-            let _ = std::fs::remove_file(&journal_path);
-            let (lat, _, _, _) = run(
-                world,
-                stmts,
-                args,
-                RunConfig {
-                    journal: Some(JournalConfig::new(journal_path.clone())),
-                    ..RunConfig::default()
-                },
-            );
+    let layers = layers(&journal);
+    let mut pairs = vec![Vec::new(); layers.len()];
+    let mut best = vec![f64::INFINITY; layers.len()];
+    let rounds = layers.iter().map(|l| l.1).max().unwrap_or(0);
+    for i in 0..rounds {
+        for (l, (name, n, off, on)) in layers.iter().enumerate() {
+            if i >= *n {
+                continue;
+            }
+            let _ = std::fs::remove_file(&journal);
+            let lat_off = run(world, stmts, args, off.clone()).0;
+            let lat_on = run(world, stmts, args, on.clone()).0;
+            // `--prof` leaves counting on after its server drops.
+            motro_obs::alloc::set_counting(false);
             motro_obs::window::global().force_roll();
-            lat
-        },
-    );
+            let (p50_off, p50_on) = (p50_of(lat_off.clone()), p50_of(lat_on.clone()));
+            let ratio = p50_on as f64 / (p50_off as f64).max(1.0);
+            best[l] = best[l].min(ratio);
+            eprintln!(
+                "  {name} pair {}/{n}: p50 off {}us, on {}us (ratio {ratio:.3})",
+                i + 1,
+                p50_off / 1_000,
+                p50_on / 1_000
+            );
+            let us = |ns: u64| Value::from(ns / 1_000);
+            pairs[l].push(object([
+                ("off_p50_us", us(p50_off)),
+                ("on_p50_us", us(p50_on)),
+                ("off_mean_us", us(mean_ns(&lat_off) as u64)),
+                ("on_mean_us", us(mean_ns(&lat_on) as u64)),
+            ]));
+        }
+    }
+    let _ = std::fs::remove_file(&journal);
+    motro_obs::set_enabled(true);
 
-    // The enabled runs populated the registry; the snapshot must be
-    // well-formed JSON and carry the pipeline histograms and cache
-    // counters the `/debug/stats` route exposes.
-    let snapshot = motro_obs::metrics::registry().snapshot();
-    let snapshot_json = snapshot.to_json();
-    let parsed: Value = snapshot_json
+    // obs: the snapshot must be well-formed JSON carrying the cache
+    // counters `/debug/stats` exposes, the journal must have advanced,
+    // and the pipeline histograms' percentiles must re-derive.
+    let snapshot: Value = motro_obs::metrics::registry()
+        .snapshot()
+        .to_json()
         .parse()
         .expect("metrics snapshot must parse as JSON");
-    for h in ["meta.eval_ns", "mask.apply_ns", "plan.compile_ns"] {
-        assert!(
-            parsed.get("histograms").and_then(|v| v.get(h)).is_some(),
-            "snapshot missing histogram {h}"
-        );
-    }
+    let counter = |c: &str| snapshot.get("counters").and_then(|v| v.get(c)).cloned();
     for c in ["server.cache.hits", "server.cache.misses"] {
-        assert!(
-            parsed.get("counters").and_then(|v| v.get(c)).is_some(),
-            "snapshot missing counter {c}"
-        );
+        assert!(counter(c).is_some(), "snapshot missing counter {c}");
     }
-    // The enabled runs journaled their traffic: the journal counters
-    // must have advanced, or the overhead figure measured nothing.
     assert!(
-        parsed
-            .get("counters")
-            .and_then(|v| v.get("journal.records"))
-            .and_then(Value::as_u64)
+        counter("journal.records")
+            .and_then(|v| v.as_u64())
             .unwrap_or(0)
             >= 1,
-        "journal.records never advanced during the enabled runs"
+        "journal.records never advanced during the obs-on runs"
     );
-    let derived = derived_percentiles(&parsed);
-    let _ = std::fs::remove_file(&journal_path);
+    let derived = derived_percentiles(&snapshot);
 
-    let mut report = Map::new();
-    report.insert(
-        "experiment".to_owned(),
-        Value::String("obs_overhead".to_owned()),
-    );
-    report.insert("pairs".to_owned(), Value::Array(pairs));
-    report.insert(
-        "overhead_pct".to_owned(),
-        Value::Number(Number::from_f64(overhead_pct).unwrap_or_else(|| Number::from(0u64))),
-    );
-    report.insert("metrics_snapshot".to_owned(), parsed);
-    report.insert("derived_percentiles".to_owned(), Value::Object(derived));
-    (report, overhead_pct)
-}
-
-/// Measure the tracing pipeline's cost: interleaved off/on run pairs
-/// over the same world and statements, telemetry enabled on both sides
-/// so the figure isolates tracing. The on side is the worst case —
-/// clients mint a context for every request (sample 1.0), the server
-/// runs each under a profile session, evaluates tail retention, and
-/// stores every trace. Returns the report map and the overhead
-/// percentage (smallest per-pair p50 ratio).
-fn trace_overhead(world: &ScaledWorld, stmts: &[String], args: &Args) -> (Map<String, Value>, f64) {
-    const PAIRS: usize = 5;
-    const STORE: usize = 256;
-    motro_obs::set_enabled(true);
-    let (pairs, overhead_pct) = overhead_pairs(
-        "trace",
-        PAIRS,
-        || run(world, stmts, args, RunConfig::default()).0,
-        || {
-            run(
-                world,
-                stmts,
-                args,
-                RunConfig {
-                    trace: Some((STORE, 1.0)),
-                    ..RunConfig::default()
-                },
-            )
-            .0
-        },
-    );
-
-    let mut report = Map::new();
-    report.insert(
-        "experiment".to_owned(),
-        Value::String("trace_overhead".to_owned()),
-    );
-    report.insert("pairs".to_owned(), Value::Array(pairs));
-    report.insert(
-        "overhead_pct".to_owned(),
-        Value::Number(Number::from_f64(overhead_pct).unwrap_or_else(|| Number::from(0u64))),
-    );
-    report.insert(
-        "trace_sample".to_owned(),
-        Value::Number(Number::from_f64(1.0).unwrap_or_else(|| Number::from(1u64))),
-    );
-    report.insert("trace_store".to_owned(), Value::Number(Number::from(STORE)));
-    (report, overhead_pct)
-}
-
-/// Measure continuous profiling's cost: interleaved off/on run pairs
-/// over the same world and statements, telemetry enabled on both sides
-/// so the figure isolates profiling. The on side is the full `--prof`
-/// configuration — every statement request runs under a profile
-/// session with the counting allocator on, its finished tree folds
-/// into the global aggregate, and its cost lands in the per-user
-/// ledger. Returns the report map and the overhead percentage
-/// (smallest per-pair p50 ratio).
-fn prof_overhead(world: &ScaledWorld, stmts: &[String], args: &Args) -> (Map<String, Value>, f64) {
-    const PAIRS: usize = 5;
-    motro_obs::set_enabled(true);
-    motro_obs::prof::global().reset();
-    motro_obs::prof::ledger().reset();
-    let (pairs, overhead_pct) = overhead_pairs(
-        "prof",
-        PAIRS,
-        || {
-            // `--prof` leaves counting on after the server drops; switch
-            // it back off so the off side measures the true baseline.
-            motro_obs::alloc::set_counting(false);
-            run(world, stmts, args, RunConfig::default()).0
-        },
-        || {
-            run(
-                world,
-                stmts,
-                args,
-                RunConfig {
-                    prof: true,
-                    ..RunConfig::default()
-                },
-            )
-            .0
-        },
-    );
-    motro_obs::alloc::set_counting(false);
-
-    // The on runs fed the global aggregate and ledger; the experiment
-    // measured nothing unless both saw every on-side request.
+    // prof and insight: every on-side request folded and recorded.
+    let on_requests = |layer: &str| {
+        let pairs = layers.iter().find(|l| l.0 == layer).map_or(0, |l| l.1);
+        (pairs * args.clients * args.requests) as u64
+    };
     let agg = motro_obs::prof::global();
-    let expected = (PAIRS * args.clients * args.requests) as u64;
-    assert_eq!(
-        agg.folds(),
-        expected,
-        "aggregator saw {} folds, expected {expected}",
-        agg.folds()
-    );
+    let profiled = on_requests("prof");
+    assert_eq!(agg.folds(), profiled, "profile folds vs prof-on requests");
     let collapsed = agg.collapsed(motro_obs::prof::FlameMetric::SelfNs);
-    assert!(
-        !collapsed.is_empty(),
-        "collapsed-stack output empty after {expected} folds"
-    );
+    assert!(!collapsed.is_empty(), "collapsed-stack output empty");
     for line in collapsed.lines() {
         let (path, value) = line.rsplit_once(' ').expect("collapsed line grammar");
         assert!(!path.is_empty() && value.parse::<u64>().is_ok(), "{line:?}");
     }
-    let charged: u64 = motro_obs::prof::ledger()
-        .top(0)
-        .iter()
-        .map(|(_, c)| c.requests)
-        .sum();
-    assert_eq!(charged, expected, "ledger charged {charged} requests");
-    let ledger_exposition = motro_obs::prof::ledger().prometheus();
-    motro_obs::prom::validate(&ledger_exposition).expect("ledger exposition must validate");
-
-    let mut report = Map::new();
-    report.insert(
-        "experiment".to_owned(),
-        Value::String("prof_overhead".to_owned()),
-    );
-    report.insert("pairs".to_owned(), Value::Array(pairs));
-    report.insert(
-        "overhead_pct".to_owned(),
-        Value::Number(Number::from_f64(overhead_pct).unwrap_or_else(|| Number::from(0u64))),
-    );
-    report.insert(
-        "profiled_requests".to_owned(),
-        Value::Number(Number::from(expected)),
-    );
-    report.insert(
-        "stage_paths".to_owned(),
-        Value::Number(Number::from(agg.stages().len())),
-    );
-    report.insert(
-        "ledger_users".to_owned(),
-        Value::Number(Number::from(motro_obs::prof::ledger().len())),
-    );
-    (report, overhead_pct)
-}
-
-/// Measure the authorization-analytics layer's cost (DESIGN.md §6h):
-/// interleaved off/on run pairs, telemetry enabled on both sides so
-/// the figure isolates insight recording. The on side is the default
-/// server configuration — every retrieval's mask outcome and R2 tally
-/// folds into the per-(principal, views, relations) rollups — while
-/// the off side runs `--no-insight`. Returns the report map and the
-/// overhead percentage (smallest per-pair p50 ratio).
-fn insight_overhead(
-    world: &ScaledWorld,
-    stmts: &[String],
-    args: &Args,
-) -> (Map<String, Value>, f64) {
-    const PAIRS: usize = 5;
-    motro_obs::set_enabled(true);
-    motro_obs::insight::global().reset();
-    let (pairs, overhead_pct) = overhead_pairs(
-        "insight",
-        PAIRS,
-        || run(world, stmts, args, RunConfig::default()).0,
-        || {
-            run(
-                world,
-                stmts,
-                args,
-                RunConfig {
-                    insight: true,
-                    ..RunConfig::default()
-                },
-            )
-            .0
-        },
-    );
-
-    // The on runs fed the global rollups; the experiment measured
-    // nothing unless every on-side request was recorded.
     let insight = motro_obs::insight::global();
-    let expected = (PAIRS * args.clients * args.requests) as u64;
+    let expected = on_requests("insight");
     let recorded: u64 = insight.rollups().iter().map(|(_, r)| r.requests).sum();
-    assert_eq!(
-        recorded, expected,
-        "insight rollups recorded {recorded} requests, expected {expected}"
-    );
-    assert!(
-        !insight.is_empty(),
-        "no rollups accumulated after {expected} recorded requests"
-    );
-    // The rollup view must render as valid JSON — it feeds the
-    // `/debug/insight` route verbatim.
-    let parsed: Value = insight
+    assert_eq!(recorded, expected, "rollup requests vs insight-on requests");
+    let rollups: Value = insight
         .rollups_json()
         .parse()
         .expect("rollups_json must parse as JSON");
-    assert!(parsed.as_array().is_some_and(|a| !a.is_empty()));
+    assert!(rollups.as_array().is_some_and(|a| !a.is_empty()));
+    let charged: u64 = insight.top(0).iter().map(|(_, r)| r.requests).sum();
+    assert_eq!(
+        charged, expected,
+        "cost table requests vs insight-on requests"
+    );
+    motro_obs::prom::validate(&insight.prometheus()).expect("cost exposition must validate");
 
     let mut report = Map::new();
-    report.insert(
-        "experiment".to_owned(),
-        Value::String("insight_overhead".to_owned()),
-    );
-    report.insert("pairs".to_owned(), Value::Array(pairs));
-    report.insert(
-        "overhead_pct".to_owned(),
-        Value::Number(Number::from_f64(overhead_pct).unwrap_or_else(|| Number::from(0u64))),
-    );
-    report.insert(
-        "recorded_requests".to_owned(),
-        Value::Number(Number::from(recorded)),
-    );
-    report.insert(
-        "rollup_keys".to_owned(),
-        Value::Number(Number::from(insight.len())),
-    );
-    (report, overhead_pct)
+    report.insert("experiment".to_owned(), Value::from("overhead"));
+    let mut overheads = Vec::new();
+    for ((name, ..), (pairs, best)) in layers.iter().zip(pairs.into_iter().zip(best)) {
+        let pct = (best - 1.0) * 100.0;
+        let entry = object([
+            ("pairs", Value::Array(pairs)),
+            ("overhead_pct", Value::from(pct)),
+        ]);
+        report.insert((*name).to_owned(), entry);
+        overheads.push((*name, pct));
+    }
+    report.insert("metrics_snapshot".to_owned(), snapshot);
+    report.insert("derived_percentiles".to_owned(), Value::Object(derived));
+    report.insert("profiled_requests".to_owned(), Value::from(profiled));
+    report.insert("stage_paths".to_owned(), Value::from(agg.stages().len()));
+    report.insert("rollup_keys".to_owned(), Value::from(insight.len()));
+    (report, overheads)
+}
+
+/// A JSON object from key/value pairs.
+fn object<const N: usize>(pairs: [(&str, Value); N]) -> Value {
+    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
 /// The invalidation-churn experiment (DESIGN.md §6e): warm one cache
@@ -1060,71 +826,24 @@ fn main() {
         }
     }
 
-    if let Some(path) = &args.obs_report {
-        eprintln!("loadgen: measuring observability overhead");
-        let (report, overhead_pct) = obs_overhead(&world, &stmts, &args);
-        write_overhead_report("obs", path, report, overhead_pct, args.assert_overhead);
-    }
-
-    if let Some(path) = &args.trace_report {
-        eprintln!("loadgen: measuring tracing overhead (sample 1.0)");
-        let (report, overhead_pct) = trace_overhead(&world, &stmts, &args);
-        write_overhead_report(
-            "trace",
-            path,
-            report,
-            overhead_pct,
-            args.assert_trace_overhead,
-        );
-    }
-
-    if let Some(path) = &args.prof_report {
-        eprintln!("loadgen: measuring continuous-profiling overhead");
-        let (report, overhead_pct) = prof_overhead(&world, &stmts, &args);
-        write_overhead_report(
-            "prof",
-            path,
-            report,
-            overhead_pct,
-            args.assert_prof_overhead,
-        );
-    }
-
-    if let Some(path) = &args.insight_report {
-        eprintln!("loadgen: measuring authorization-analytics overhead");
-        let (report, overhead_pct) = insight_overhead(&world, &stmts, &args);
-        write_overhead_report(
-            "insight",
-            path,
-            report,
-            overhead_pct,
-            args.assert_insight_overhead,
-        );
-    }
-}
-
-/// Finish one overhead experiment: stamp the CI bound into the report,
-/// write it, and exit non-zero when the measured overhead exceeds the
-/// bound — the shared tail of every `--*-report` flag.
-fn write_overhead_report(
-    label: &str,
-    path: &str,
-    mut report: Map<String, Value>,
-    overhead_pct: f64,
-    bound: Option<f64>,
-) {
-    if let Some(b) = bound {
-        report.insert(
-            "bound_pct".to_owned(),
-            Value::Number(Number::from_f64(b).unwrap_or_else(|| Number::from(0u64))),
-        );
-    }
-    let json = Value::Object(report).to_string();
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {label} report {path}: {e}"));
-    eprintln!("  {label} overhead: {overhead_pct:.2}% (report: {path})");
-    if let Some(b) = bound {
-        if overhead_pct > b {
-            eprintln!("loadgen: {label} overhead {overhead_pct:.2}% exceeds bound {b}%");
+    if let Some(path) = &args.overhead_report {
+        eprintln!("loadgen: measuring overhead of the obs, trace, prof, and insight layers");
+        let (mut report, overheads) = overhead(&world, &stmts, &args);
+        if let Some(b) = args.assert_overhead {
+            report.insert("bound_pct".to_owned(), Value::from(b));
+        }
+        let json = Value::Object(report).to_string();
+        std::fs::write(path, &json).unwrap_or_else(|e| panic!("write overhead report {path}: {e}"));
+        eprintln!("  report: {path}");
+        let mut over = false;
+        for (name, pct) in overheads {
+            eprintln!("  {name} overhead: {pct:.2}%");
+            if let Some(b) = args.assert_overhead.filter(|b| pct > *b) {
+                eprintln!("loadgen: {name} overhead {pct:.2}% exceeds bound {b}%");
+                over = true;
+            }
+        }
+        if over {
             std::process::exit(1);
         }
     }

@@ -18,6 +18,9 @@
 //!   [`MAX_ROLLUPS`], overflow pooled under [`OTHER`]) and bumps the
 //!   `insight.*` registry counters, which the §6d window layer then
 //!   windows and `/metrics` exports as `motro_insight_*` series.
+//!   Rollups also carry each request's wall time and allocation bytes,
+//!   so [`Insight::top`] — a principal's rollups summed — is the one
+//!   per-principal cost table (`/debug/top`, `motro_user_cost_*`).
 //! * [`Insight::record_drift`] appends an [`EpochDelta`] — the (user,
 //!   view) visibility pairs a mutation gained or lost, tagged with the
 //!   auth epoch it produced — to a bounded ring. The server computes
@@ -92,6 +95,11 @@ pub struct Event<'a> {
     /// cache hits replayed without re-evaluation unless the cache
     /// stored the original split).
     pub r2: [u64; 5],
+    /// The request's duration in nanoseconds.
+    pub wall_ns: u64,
+    /// Allocation bytes of the request's profile root (0 when no
+    /// profile session ran or counting was off).
+    pub alloc_bytes: u64,
 }
 
 /// Cumulative outcome totals for one (principal, views, relations)
@@ -106,6 +114,10 @@ pub struct Rollup {
     pub cached: u64,
     /// Requests where the mask granted the entire answer.
     pub full_access: u64,
+    /// Summed request wall time in nanoseconds.
+    pub wall_ns: u64,
+    /// Summed allocation bytes.
+    pub alloc_bytes: u64,
     /// Rows delivered.
     pub rows_delivered: u64,
     /// Rows withheld.
@@ -127,6 +139,8 @@ impl Rollup {
         self.requests += 1;
         self.cached += ev.cached as u64;
         self.full_access += ev.full_access as u64;
+        self.wall_ns += ev.wall_ns;
+        self.alloc_bytes += ev.alloc_bytes;
         self.rows_delivered += ev.rows_delivered;
         self.rows_withheld += ev.rows_withheld;
         self.cells_delivered += ev.cells_delivered;
@@ -144,7 +158,43 @@ impl Rollup {
             }
         }
     }
+
+    /// Add another rollup's totals into this one.
+    fn merge(&mut self, o: &Rollup) {
+        self.requests += o.requests;
+        self.errors += o.errors;
+        self.cached += o.cached;
+        self.full_access += o.full_access;
+        self.wall_ns += o.wall_ns;
+        self.alloc_bytes += o.alloc_bytes;
+        self.rows_delivered += o.rows_delivered;
+        self.rows_withheld += o.rows_withheld;
+        self.cells_delivered += o.cells_delivered;
+        self.cells_masked += o.cells_masked;
+        self.cells_withheld += o.cells_withheld;
+        for (acc, d) in self.r2.iter_mut().zip(&o.r2) {
+            *acc += d;
+        }
+        for (reason, n) in &o.denials {
+            *self.denials.entry(reason.clone()).or_insert(0) += n;
+        }
+    }
 }
+
+/// One cost column: its name and how to read it off a summed rollup.
+pub type CostColumn = (&'static str, fn(&Rollup) -> u64);
+
+/// The cost columns of the per-principal table ([`Insight::top`]), as
+/// `/debug/top` fields and `motro_user_cost_*` series: masked cells
+/// count nulled cells plus withheld-row area, cache hits the cached
+/// requests.
+pub const COST_COLUMNS: [CostColumn; 5] = [
+    ("requests", |r| r.requests),
+    ("wall_ns", |r| r.wall_ns),
+    ("alloc_bytes", |r| r.alloc_bytes),
+    ("cells_masked", |r| r.cells_masked + r.cells_withheld),
+    ("cache_hits", |r| r.cached),
+];
 
 /// A rollup key: the principal, the granting views (sorted,
 /// `+`-joined, `(none)` when the mask was empty), and the plan's
@@ -663,6 +713,50 @@ impl Insight {
             .collect()
     }
 
+    /// Each principal's rollups summed, keyed by principal.
+    fn principals(&self) -> BTreeMap<String, Rollup> {
+        let mut out: BTreeMap<String, Rollup> = BTreeMap::new();
+        for ((principal, _, _), r) in self.rollups.lock().iter() {
+            out.entry(principal.clone()).or_default().merge(r);
+        }
+        out
+    }
+
+    /// The per-principal table: the `n` costliest principals' summed
+    /// rollups by `wall_ns`, descending (ties broken by name). `n == 0`
+    /// returns everyone. At most [`MAX_ROLLUPS`] principals plus
+    /// [`OTHER`], since each holds at least one rollup key.
+    pub fn top(&self, n: usize) -> Vec<(String, Rollup)> {
+        let mut rows: Vec<(String, Rollup)> = self.principals().into_iter().collect();
+        rows.sort_by(|a, b| b.1.wall_ns.cmp(&a.1.wall_ns).then(a.0.cmp(&b.0)));
+        if n > 0 {
+            rows.truncate(n);
+        }
+        rows
+    }
+
+    /// Render the per-principal table as `motro_user_cost_*` counter
+    /// series ([`COST_COLUMNS`]) with a `user` label. Empty while the
+    /// table is, so the exposition stays byte-identical.
+    pub fn prometheus(&self) -> String {
+        let users = self.principals();
+        let mut out = String::new();
+        if users.is_empty() {
+            return out;
+        }
+        for (name, get) in COST_COLUMNS {
+            out.push_str(&format!("# TYPE motro_user_cost_{name} counter\n"));
+            for (user, r) in &users {
+                let user = crate::prom::escape_label_value(user);
+                out.push_str(&format!(
+                    "motro_user_cost_{name}{{user=\"{user}\"}} {}\n",
+                    get(r)
+                ));
+            }
+        }
+        out
+    }
+
     /// Number of tracked rollup keys.
     pub fn len(&self) -> usize {
         self.rollups.lock().len()
@@ -807,13 +901,16 @@ impl Insight {
             out.push_str(&crate::json_escape(relations));
             out.push_str(&format!(
                 "\",\"requests\":{},\"errors\":{},\"cached\":{},\"full_access\":{},\
-                 \"rows_delivered\":{},\"rows_withheld\":{},\"cells_delivered\":{},\
+                 \"wall_ns\":{},\"alloc_bytes\":{},\"rows_delivered\":{},\"rows_withheld\":{},\
+                 \"cells_delivered\":{},\
                  \"cells_masked\":{},\"cells_withheld\":{},\"r2\":{{\"clear\":{},\
                  \"retain\":{},\"modify\":{},\"discard\":{},\"clear_fallback\":{}}}",
                 r.requests,
                 r.errors,
                 r.cached,
                 r.full_access,
+                r.wall_ns,
+                r.alloc_bytes,
                 r.rows_delivered,
                 r.rows_withheld,
                 r.cells_delivered,
@@ -954,6 +1051,67 @@ mod tests {
         let json = ins.rollups_json();
         assert!(json.contains("\"views\":\"EST+PSA\""));
         assert!(json.contains("\"clear_fallback\":0"));
+        assert!(json.contains("\"wall_ns\":0,\"alloc_bytes\":0"), "{json}");
+    }
+
+    #[test]
+    fn top_sums_each_principals_rollups_costliest_first() {
+        let _g = crate::test_guard();
+        crate::set_enabled(true);
+        let ins = Insight::new();
+        let (psa, est, rels) = (names(&["PSA"]), names(&["EST"]), names(&["PROJECT"]));
+        // Brown holds two keys (different granting views).
+        ins.record(&Event {
+            wall_ns: 500,
+            alloc_bytes: 64,
+            cached: true,
+            ..ev("Brown", &psa, &rels)
+        });
+        ins.record(&Event {
+            wall_ns: 300,
+            ..ev("Brown", &est, &rels)
+        });
+        // Klein and Adams tie on wall time; the name breaks the tie.
+        ins.record(&Event {
+            wall_ns: 100,
+            ..ev("Klein", &psa, &rels)
+        });
+        ins.record(&Event {
+            wall_ns: 100,
+            ..ev("Adams", &psa, &rels)
+        });
+        assert_eq!(ins.len(), 4);
+        let top = ins.top(0);
+        let order: Vec<&str> = top.iter().map(|(u, _)| u.as_str()).collect();
+        assert_eq!(order, ["Brown", "Adams", "Klein"]);
+        let brown = &top[0].1;
+        assert_eq!(brown.r2, [2, 0, 4, 2, 0]);
+        // Each ev() masks 1 cell and withholds 2: 2 × (1 + 2) = 6.
+        let cost: Vec<u64> = COST_COLUMNS.iter().map(|(_, get)| get(brown)).collect();
+        assert_eq!(cost, [2, 800, 64, 6, 1]);
+        assert_eq!(ins.top(1).len(), 1);
+        assert_eq!(ins.top(1)[0].0, "Brown");
+    }
+
+    #[test]
+    fn cost_series_validate_and_vanish_when_empty() {
+        let _g = crate::test_guard();
+        crate::set_enabled(true);
+        let ins = Insight::new();
+        assert_eq!(ins.prometheus(), "", "an empty table emits nothing");
+        let (none, rels) = (names(&[]), names(&["R"]));
+        ins.record(&Event {
+            wall_ns: 999,
+            ..ev("Brown \"q\"", &none, &rels)
+        });
+        let text = ins.prometheus();
+        assert!(text.contains("# TYPE motro_user_cost_requests counter"));
+        assert!(
+            text.contains("motro_user_cost_wall_ns{user=\"Brown \\\"q\\\"\"} 999"),
+            "{text}"
+        );
+        let series = crate::prom::validate(&text).expect("cost exposition validates");
+        assert!(series.contains("motro_user_cost_cache_hits"));
     }
 
     #[test]
@@ -971,6 +1129,11 @@ mod tests {
             .find(|((p, _, _), _)| p == OTHER)
             .expect("pooled bucket");
         assert_eq!(other.1.requests, 10);
+        // The per-principal view inherits the cap: one row per key here.
+        let top = ins.top(0);
+        assert_eq!(top.len(), MAX_ROLLUPS + 1);
+        let pooled = top.iter().find(|(u, _)| u == OTHER).expect("pooled row");
+        assert_eq!(pooled.1.requests, 10);
     }
 
     #[test]

@@ -24,14 +24,14 @@
 //! a bounded ring, and [`prom`] can attach OpenMetrics exemplars
 //! (`trace_id` → histogram bucket) to the exposition. [`alloc`]
 //! optionally counts per-thread allocation bytes (attributed to
-//! profile stages), and [`prof`] folds finished profile trees into a
-//! continuous collapsed-stack aggregate — flamegraph-servable — with a
-//! per-user cost ledger.
+//! profile stages), [`prof`] folds finished profile trees into a
+//! continuous collapsed-stack aggregate — flamegraph-servable — and
+//! [`insight`] keeps the one per-principal table of outcomes and cost.
 //!
 //! Everything is gated behind one global switch ([`set_enabled`]):
 //! disabled, every update is a single relaxed atomic load and an early
-//! return, which is what the `BENCH_obs_overhead` experiment measures
-//! against.
+//! return, which is what the `obs` layer of loadgen's overhead report
+//! measures against.
 //!
 //! ```
 //! let h = motro_obs::histogram!("demo.work_ns");
@@ -59,7 +59,7 @@ pub mod window;
 pub use alloc::{AllocSnapshot, CountingAlloc};
 pub use insight::{Alert, AlertRule, DriftChange, EpochDelta, Insight};
 pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot};
-pub use prof::{Aggregator, FlameMetric, Ledger, StageStats, UserCost};
+pub use prof::{Aggregator, FlameMetric, StageStats};
 pub use profile::ProfileNode;
 pub use tracectx::TraceContext;
 pub use tracestore::{StoredTrace, TraceStore, TraceStoreStats, TraceSummary};

@@ -1,4 +1,4 @@
-//! Continuous profiling and per-user cost accounting.
+//! Continuous profiling.
 //!
 //! The per-request profile trees of [`crate::profile`] answer "why was
 //! *this* request slow"; this module answers "where do CPU and memory
@@ -6,31 +6,24 @@
 //! into the global [`Aggregator`] ([`global`]), which keeps cumulative
 //! collapsed-stack form — stage path (`root;child;grandchild`) → total
 //! wall-ns, self-ns, attributed allocation bytes/counts, and
-//! invocations — plus a sliding per-window retention mirroring
-//! [`crate::window::WindowLayer`].
+//! invocations. Recent-window figures come from the `prof.*` registry
+//! series, which [`crate::window::WindowLayer`] windows like every
+//! other counter.
 //!
 //! Two renderings serve the aggregate: [`Aggregator::collapsed`]
 //! produces the standard collapsed-stack text (`a;b;c VALUE`, one line
-//! per path, value = self time so a flamegraph tool can re-fold it) and
-//! [`Aggregator::flame_svg`] a self-contained hand-rolled flamegraph
-//! SVG — both exposed over the metrics listener as `/debug/flame` and
-//! `/debug/flame.svg`.
+//! per path, value = self time or self bytes so a flamegraph tool can
+//! re-fold it) and [`Aggregator::flame_svg`] a self-contained
+//! hand-rolled flamegraph SVG — both exposed over the metrics listener
+//! as `/debug/flame` and `/debug/flame.svg`.
 //!
-//! Alongside the stage aggregate, the [`Ledger`] ([`ledger`]) accounts
-//! each principal's cumulative cost — requests, wall-ns, allocation
-//! bytes, cells masked, cache hits — surfaced by the server's `/debug/top` route
-//! and as `motro_user_cost_*` Prometheus series
-//! ([`Ledger::prometheus`]). Cardinality is bounded: past
-//! [`LEDGER_MAX_USERS`] distinct principals, new ones are pooled under
-//! `(other)`.
+//! Per-principal cost lives in the insight rollups
+//! ([`crate::insight::Insight::top`]), which fold the same requests.
 
-use crate::window::WindowConfig;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Cumulative statistics for one stage path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,6 +36,8 @@ pub struct StageStats {
     pub self_ns: u64,
     /// Allocation bytes attributed to the stage (including children).
     pub alloc_bytes: u64,
+    /// Allocation bytes minus those attributed to child stages.
+    pub self_alloc_bytes: u64,
     /// Allocation count attributed to the stage (including children).
     pub allocs: u64,
 }
@@ -50,89 +45,50 @@ pub struct StageStats {
 impl StageStats {
     fn absorb(&mut self, node: &crate::ProfileNode) {
         let child_wall: u64 = node.children.iter().map(|c| c.duration_ns).sum();
+        let child_bytes: u64 = node.children.iter().map(|c| c.alloc_bytes).sum();
         self.invocations += 1;
         self.wall_ns += node.duration_ns;
         self.self_ns += node.duration_ns.saturating_sub(child_wall);
         self.alloc_bytes += node.alloc_bytes;
+        self.self_alloc_bytes += node.alloc_bytes.saturating_sub(child_bytes);
         self.allocs += node.allocs;
     }
 }
 
-/// One completed retention window of folded stages.
-#[derive(Debug, Clone)]
-pub struct ProfWindow {
-    /// How long the window actually spanned.
-    pub spanned: std::time::Duration,
-    /// Stage path → stats folded during the window.
-    pub stages: BTreeMap<String, StageStats>,
-}
-
-/// Which per-path value a collapsed-stack rendering carries.
+/// Which per-path value a collapsed-stack rendering carries. Both are
+/// self values, so the lines under a root re-fold to its inclusive
+/// total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlameMetric {
-    /// Self wall time in nanoseconds (the flamegraph default — values
-    /// re-fold to each path's inclusive total).
+    /// Self wall time in nanoseconds (the flamegraph default).
     SelfNs,
-    /// Attributed allocation bytes, inclusive of children.
+    /// Self allocation bytes.
     AllocBytes,
 }
 
+#[derive(Default)]
 struct AggInner {
-    config: WindowConfig,
-    opened: Instant,
     folds: u64,
-    cumulative: BTreeMap<String, StageStats>,
-    current: BTreeMap<String, StageStats>,
-    windows: VecDeque<ProfWindow>,
+    stages: BTreeMap<String, StageStats>,
 }
 
 /// The continuous profile aggregator. Use the process-wide [`global`]
 /// instance; standalone instances exist for tests.
+#[derive(Default)]
 pub struct Aggregator {
     inner: Mutex<AggInner>,
 }
 
-impl Default for Aggregator {
-    fn default() -> Aggregator {
-        Aggregator::new(WindowConfig::default())
-    }
-}
-
 impl Aggregator {
-    /// A fresh aggregator with the given window layout.
-    pub fn new(config: WindowConfig) -> Aggregator {
-        Aggregator {
-            inner: Mutex::new(AggInner {
-                config,
-                opened: Instant::now(),
-                folds: 0,
-                cumulative: BTreeMap::new(),
-                current: BTreeMap::new(),
-                windows: VecDeque::new(),
-            }),
-        }
-    }
-
-    /// Replace the window layout (length + retention). Keeps cumulative
-    /// totals; restarts the current window.
-    pub fn configure(&self, config: WindowConfig) {
-        let mut inner = self.inner.lock();
-        inner.config = config;
-        inner.opened = Instant::now();
-        inner.current.clear();
-    }
-
-    /// Fold one finished profile tree into the cumulative and
-    /// current-window aggregates. Also bumps the `prof.*` registry
-    /// metrics (folds, attributed bytes/allocs, fold cost).
+    /// Fold one finished profile tree into the cumulative aggregate.
+    /// Also bumps the `prof.*` registry metrics (folds, attributed
+    /// bytes/allocs, fold cost).
     pub fn fold(&self, node: &crate::ProfileNode) {
         let t = crate::start();
         let mut inner = self.inner.lock();
-        roll_if_due(&mut inner, Instant::now());
         inner.folds += 1;
-        fold_node(&mut inner.cumulative, node, None);
-        fold_node(&mut inner.current, node, None);
-        let paths = inner.cumulative.len();
+        fold_node(&mut inner.stages, node, None);
+        let paths = inner.stages.len();
         drop(inner);
         crate::counter!("prof.folds").inc();
         crate::counter!("prof.alloc.bytes").add(node.alloc_bytes);
@@ -143,19 +99,6 @@ impl Aggregator {
         }
     }
 
-    /// Close the current window if it has run its course (called lazily
-    /// from read paths, like [`crate::window::WindowLayer`]).
-    pub fn roll_if_due(&self) {
-        roll_if_due(&mut self.inner.lock(), Instant::now());
-    }
-
-    /// Unconditionally close the current window (tests).
-    pub fn force_roll(&self) {
-        let mut inner = self.inner.lock();
-        let due = inner.opened;
-        roll(&mut inner, due.elapsed());
-    }
-
     /// Trees folded since creation (or the last [`Aggregator::reset`]).
     pub fn folds(&self) -> u64 {
         self.inner.lock().folds
@@ -163,37 +106,24 @@ impl Aggregator {
 
     /// A copy of the cumulative stage aggregate.
     pub fn stages(&self) -> BTreeMap<String, StageStats> {
-        self.inner.lock().cumulative.clone()
-    }
-
-    /// The completed retention windows, oldest first.
-    pub fn windows(&self) -> Vec<ProfWindow> {
-        self.roll_if_due();
-        self.inner.lock().windows.iter().cloned().collect()
+        self.inner.lock().stages.clone()
     }
 
     /// Drop all aggregated state (tests).
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.folds = 0;
-        inner.cumulative.clear();
-        inner.current.clear();
-        inner.windows.clear();
-        inner.opened = Instant::now();
+        *self.inner.lock() = AggInner::default();
     }
 
     /// The cumulative aggregate in collapsed-stack text form: one
-    /// `path value` line per stage path, sorted by path. With
-    /// [`FlameMetric::SelfNs`] the values re-fold: summing every line
-    /// under a root reproduces the root's inclusive wall time.
+    /// `path value` line per stage path, sorted by path. Summing every
+    /// line under a root reproduces the root's inclusive total.
     pub fn collapsed(&self, metric: FlameMetric) -> String {
-        self.roll_if_due();
         let inner = self.inner.lock();
         let mut out = String::new();
-        for (path, s) in &inner.cumulative {
+        for (path, s) in &inner.stages {
             let v = match metric {
                 FlameMetric::SelfNs => s.self_ns,
-                FlameMetric::AllocBytes => s.alloc_bytes,
+                FlameMetric::AllocBytes => s.self_alloc_bytes,
             };
             let _ = writeln!(out, "{path} {v}");
         }
@@ -203,27 +133,16 @@ impl Aggregator {
     /// Render the cumulative aggregate as a self-contained flamegraph
     /// SVG (icicle layout, wall-time widths, per-node tooltips).
     pub fn flame_svg(&self) -> String {
-        self.roll_if_due();
         let inner = self.inner.lock();
-        render_svg(&inner.cumulative, inner.folds)
+        render_svg(&inner.stages, inner.folds)
     }
 
     /// A JSON rendering of the aggregate for the `/debug/prof` route:
-    /// window layout, fold count, cumulative per-path stats, and
-    /// per-window totals.
+    /// the fold count and the cumulative per-path stats.
     pub fn to_json(&self) -> String {
-        self.roll_if_due();
         let inner = self.inner.lock();
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"window_secs\":{},\"retention\":{},\"completed\":{},\"folds\":{},\"stages\":[",
-            inner.config.window.as_secs(),
-            inner.config.retention,
-            inner.windows.len(),
-            inner.folds
-        );
-        for (i, (path, s)) in inner.cumulative.iter().enumerate() {
+        let mut out = format!("{{\"folds\":{},\"stages\":[", inner.folds);
+        for (i, (path, s)) in inner.stages.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -239,44 +158,9 @@ impl Aggregator {
                 s.allocs
             );
         }
-        out.push_str("],\"windows\":[");
-        for (i, w) in inner.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let wall: u64 = w.stages.values().map(|s| s.self_ns).sum();
-            let bytes: u64 = w
-                .stages
-                .iter()
-                .filter(|(p, _)| !p.contains(';'))
-                .map(|(_, s)| s.alloc_bytes)
-                .sum();
-            let _ = write!(
-                out,
-                "{{\"spanned_ms\":{},\"paths\":{},\"wall_ns\":{wall},\"alloc_bytes\":{bytes}}}",
-                w.spanned.as_millis(),
-                w.stages.len()
-            );
-        }
         out.push_str("]}");
         out
     }
-}
-
-fn roll_if_due(inner: &mut AggInner, now: Instant) {
-    let elapsed = now.duration_since(inner.opened);
-    if elapsed >= inner.config.window {
-        roll(inner, elapsed);
-    }
-}
-
-fn roll(inner: &mut AggInner, spanned: std::time::Duration) {
-    let stages = std::mem::take(&mut inner.current);
-    inner.windows.push_back(ProfWindow { spanned, stages });
-    while inner.windows.len() > inner.config.retention {
-        inner.windows.pop_front();
-    }
-    inner.opened = Instant::now();
 }
 
 /// Collapse a stage name into one path frame: `;` is the frame
@@ -464,131 +348,6 @@ fn render_node(
     }
 }
 
-// ---------------------------------------------------------------------
-// Per-user cost ledger
-// ---------------------------------------------------------------------
-
-/// Distinct principals the ledger tracks before pooling new ones into
-/// the `(other)` bucket — a hard bound on Prometheus label cardinality.
-pub const LEDGER_MAX_USERS: usize = 256;
-
-/// The pooled-principal bucket name used past [`LEDGER_MAX_USERS`].
-pub const LEDGER_OTHER: &str = "(other)";
-
-/// One principal's cumulative cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UserCost {
-    /// Requests served (statement requests: retrieve/query/profile).
-    pub requests: u64,
-    /// Total request wall time in nanoseconds.
-    pub wall_ns: u64,
-    /// Allocation bytes attributed to the principal's requests.
-    pub alloc_bytes: u64,
-    /// Answer cells masked (nulled cells + cells of withheld rows).
-    pub cells_masked: u64,
-    /// Requests answered from the mask cache.
-    pub cache_hits: u64,
-}
-
-impl UserCost {
-    fn absorb(&mut self, d: &UserCost) {
-        self.requests += d.requests;
-        self.wall_ns += d.wall_ns;
-        self.alloc_bytes += d.alloc_bytes;
-        self.cells_masked += d.cells_masked;
-        self.cache_hits += d.cache_hits;
-    }
-}
-
-/// The per-user cost-accounting ledger. Use the process-wide
-/// [`ledger`] instance.
-#[derive(Default)]
-pub struct Ledger {
-    inner: Mutex<BTreeMap<String, UserCost>>,
-}
-
-impl Ledger {
-    /// Add `delta` to `user`'s account. Past [`LEDGER_MAX_USERS`]
-    /// distinct users, unseen principals pool under [`LEDGER_OTHER`].
-    pub fn charge(&self, user: &str, delta: &UserCost) {
-        let mut inner = self.inner.lock();
-        if !inner.contains_key(user) && inner.len() >= LEDGER_MAX_USERS {
-            inner
-                .entry(LEDGER_OTHER.to_owned())
-                .or_default()
-                .absorb(delta);
-            return;
-        }
-        inner.entry(user.to_owned()).or_default().absorb(delta);
-    }
-
-    /// The `n` costliest principals by wall time, descending (ties
-    /// broken by name for determinism). `n == 0` returns everyone.
-    pub fn top(&self, n: usize) -> Vec<(String, UserCost)> {
-        let inner = self.inner.lock();
-        let mut rows: Vec<(String, UserCost)> =
-            inner.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        rows.sort_by(|a, b| b.1.wall_ns.cmp(&a.1.wall_ns).then(a.0.cmp(&b.0)));
-        if n > 0 {
-            rows.truncate(n);
-        }
-        rows
-    }
-
-    /// Number of principals tracked.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Is the ledger empty?
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
-    }
-
-    /// Drop all accounts (tests).
-    pub fn reset(&self) {
-        self.inner.lock().clear();
-    }
-
-    /// Render the ledger as Prometheus `motro_user_cost_*` counter
-    /// series with a `user` label. Empty string while the ledger is
-    /// empty, so expositions without cost accounting stay byte-
-    /// identical to the pre-ledger format.
-    pub fn prometheus(&self) -> String {
-        let inner = self.inner.lock();
-        if inner.is_empty() {
-            return String::new();
-        }
-        let mut out = String::new();
-        type Series = (&'static str, fn(&UserCost) -> u64);
-        let series: [Series; 5] = [
-            ("motro_user_cost_requests", |c| c.requests),
-            ("motro_user_cost_wall_ns", |c| c.wall_ns),
-            ("motro_user_cost_alloc_bytes", |c| c.alloc_bytes),
-            ("motro_user_cost_cells_masked", |c| c.cells_masked),
-            ("motro_user_cost_cache_hits", |c| c.cache_hits),
-        ];
-        for (name, get) in series {
-            let _ = writeln!(out, "# TYPE {name} counter");
-            for (user, cost) in inner.iter() {
-                let _ = writeln!(
-                    out,
-                    "{name}{{user=\"{}\"}} {}",
-                    crate::prom::escape_label_value(user),
-                    get(cost)
-                );
-            }
-        }
-        out
-    }
-}
-
-/// The process-wide cost ledger the server charges into.
-pub fn ledger() -> &'static Ledger {
-    static GLOBAL: OnceLock<Ledger> = OnceLock::new();
-    GLOBAL.get_or_init(Ledger::default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -641,6 +400,25 @@ mod tests {
         let folded: u64 = stages.values().map(|s| s.self_ns).sum();
         assert_eq!(folded, root.wall_ns);
         assert_eq!(agg.folds(), 2);
+        agg.fold(&request_tree());
+        let json = agg.to_json();
+        assert!(json.contains("\"folds\":3"), "{json}");
+    }
+
+    #[test]
+    fn alloc_lines_refold_to_the_root_bytes() {
+        let agg = Aggregator::default();
+        agg.fold(&request_tree());
+        let text = agg.collapsed(FlameMetric::AllocBytes);
+        let total: u64 = text
+            .lines()
+            .map(|l| l.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(
+            total, 600,
+            "self bytes re-fold to the root's inclusive bytes"
+        );
+        assert!(text.contains("server.request;mask.compute 200"), "{text}");
     }
 
     #[test]
@@ -671,26 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn windows_roll_and_retain() {
-        let agg = Aggregator::new(WindowConfig {
-            window: std::time::Duration::from_secs(3600),
-            retention: 2,
-        });
-        for _ in 0..3 {
-            agg.fold(&request_tree());
-            agg.force_roll();
-        }
-        let windows = agg.windows();
-        assert_eq!(windows.len(), 2, "retention bounds the deque");
-        assert!(windows[0].stages.contains_key("server.request"));
-        // Cumulative totals survive rolling.
-        assert_eq!(agg.stages()["server.request"].invocations, 3);
-        let json = agg.to_json();
-        assert!(json.contains("\"folds\":3"), "{json}");
-        assert!(json.contains("\"windows\":["), "{json}");
-    }
-
-    #[test]
     fn svg_is_well_formed_and_labelled() {
         let agg = Aggregator::default();
         agg.fold(&request_tree());
@@ -709,83 +467,5 @@ mod tests {
         assert_eq!(agg.collapsed(FlameMetric::SelfNs), "");
         let svg = agg.flame_svg();
         assert!(svg.contains("</svg>"), "{svg}");
-    }
-
-    #[test]
-    fn ledger_charges_sorts_and_caps() {
-        let ledger = Ledger::default();
-        ledger.charge(
-            "Brown",
-            &UserCost {
-                requests: 1,
-                wall_ns: 500,
-                alloc_bytes: 64,
-                cells_masked: 2,
-                cache_hits: 0,
-            },
-        );
-        ledger.charge(
-            "Brown",
-            &UserCost {
-                requests: 1,
-                wall_ns: 300,
-                cache_hits: 1,
-                ..UserCost::default()
-            },
-        );
-        ledger.charge(
-            "Klein",
-            &UserCost {
-                requests: 1,
-                wall_ns: 100,
-                ..UserCost::default()
-            },
-        );
-        let top = ledger.top(0);
-        assert_eq!(top[0].0, "Brown");
-        assert_eq!(top[0].1.requests, 2);
-        assert_eq!(top[0].1.wall_ns, 800);
-        assert_eq!(top[0].1.cache_hits, 1);
-        assert_eq!(top[1].0, "Klein");
-        assert_eq!(ledger.top(1).len(), 1);
-
-        let capped = Ledger::default();
-        for i in 0..LEDGER_MAX_USERS + 10 {
-            capped.charge(
-                &format!("user-{i:04}"),
-                &UserCost {
-                    requests: 1,
-                    ..UserCost::default()
-                },
-            );
-        }
-        assert_eq!(capped.len(), LEDGER_MAX_USERS + 1, "cap plus (other)");
-        let pooled = capped
-            .top(0)
-            .into_iter()
-            .find(|(u, _)| u == LEDGER_OTHER)
-            .expect("overflow pools");
-        assert_eq!(pooled.1.requests, 10);
-    }
-
-    #[test]
-    fn ledger_prometheus_series_validate() {
-        let ledger = Ledger::default();
-        assert_eq!(ledger.prometheus(), "", "empty ledger emits nothing");
-        ledger.charge(
-            "Brown \"q\"",
-            &UserCost {
-                requests: 3,
-                wall_ns: 999,
-                alloc_bytes: 11,
-                cells_masked: 4,
-                cache_hits: 2,
-            },
-        );
-        let text = ledger.prometheus();
-        assert!(text.contains("# TYPE motro_user_cost_requests counter"));
-        assert!(text.contains("motro_user_cost_wall_ns{user=\"Brown \\\"q\\\"\"} 999"));
-        let names = crate::prom::validate(&text).expect("ledger exposition validates");
-        assert!(names.contains("motro_user_cost_cache_hits"));
     }
 }

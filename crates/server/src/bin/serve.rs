@@ -67,12 +67,13 @@
 //!
 //! Profiling (DESIGN.md §6g):
 //! - `--prof` profiles every statement request, folds the finished
-//!   span tree into a continuous collapsed-stack aggregate, switches
-//!   on the counting allocator (per-request allocation bytes), and
-//!   charges a per-user cost ledger. Inspect at `/debug/prof`,
-//!   `/debug/top`, `/debug/flame` (collapsed stacks; `?alloc` for
-//!   bytes), and `/debug/flame.svg`.
-//!   Per-user `motro_user_cost_*` series join the exposition.
+//!   span tree into a continuous collapsed-stack aggregate, and
+//!   switches on the counting allocator (per-request allocation
+//!   bytes, which the insight rollups then carry). Inspect at
+//!   `/debug/prof`, `/debug/flame` (collapsed stacks; `?alloc` for
+//!   self bytes), and `/debug/flame.svg`. With insight on, `/debug/top`
+//!   and per-user `motro_user_cost_*` series serve each principal's
+//!   rollups summed.
 //!
 //! Insight (DESIGN.md §6h):
 //! - Authorization analytics are on by default: every request folds

@@ -5,14 +5,14 @@
 //!
 //! | path | content type | body |
 //! |---|---|---|
-//! | `/metrics` | Prometheus text | the registry plus the per-user cost series |
+//! | `/metrics` | Prometheus text | the registry plus the per-user cost series (with `--prof`) |
 //! | `/debug/stats` | JSON | cache counters plus the metrics snapshot and windows |
 //! | `/debug/cache` | JSON | live entries per user, dependency index, invalidations |
 //! | `/debug/traces[?limit=N]` | JSON | retained traces, newest first, plus ring counters |
 //! | `/debug/trace?id=HEX` | JSON | one retained trace with its span tree |
 //! | `/debug/slow` | JSON | the slow-query log, newest first |
-//! | `/debug/prof` | JSON | the continuous-profile aggregate |
-//! | `/debug/top[?limit=N]` | JSON | the per-user cost ledger, costliest first |
+//! | `/debug/prof` | JSON | the continuous-profile aggregate: folds and stages |
+//! | `/debug/top[?limit=N]` | JSON | each user's summed insight rollups, costliest first |
 //! | `/debug/insight[?limit=N]` | JSON | rollups, policy drift, and alerts |
 //! | `/debug/flame[?alloc]` | text | collapsed stacks (self ns, or bytes) |
 //! | `/debug/flame.svg` | SVG | the rendered flamegraph |
@@ -28,7 +28,8 @@
 use crate::cache::CacheStats;
 use crate::server::{Ctx, SlowQuery};
 use crate::wire::{codes, obj};
-use motro_obs::prof::{self, FlameMetric, UserCost};
+use motro_obs::insight::{self, Rollup, COST_COLUMNS};
+use motro_obs::prof::{self, FlameMetric};
 use motro_obs::tracectx;
 use motro_obs::tracestore::{StoredTrace, TraceStoreStats, TraceSummary};
 use serde_json::{Map, Value};
@@ -57,14 +58,19 @@ pub(crate) fn route(ctx: &Ctx, path: &str) -> Result<Page, RouteError> {
             .map_err(|_| (codes::BAD_REQUEST, format!("bad limit {v:?}")))?,
         None => 0,
     };
+    // The per-principal cost table is the insight rollups summed, served
+    // with `--prof`; it records only while insight is on.
+    let costs = ctx.prof && ctx.insight;
     let body = match route {
         "/metrics" => {
             roll(ctx);
             let mut text = motro_obs::prom::render(&motro_obs::metrics::registry().snapshot());
             // Per-user cost series carry a dynamic `user` label the
-            // static registry can't hold; the ledger renders its own
-            // block (empty until someone is charged).
-            text.push_str(&prof::ledger().prometheus());
+            // static registry can't hold; the rollups render their own
+            // block (empty until someone is recorded).
+            if costs {
+                text.push_str(&insight::global().prometheus());
+            }
             return Ok((motro_obs::prom::CONTENT_TYPE, Value::String(text)));
         }
         "/debug/stats" => {
@@ -100,10 +106,17 @@ pub(crate) fn route(ctx: &Ctx, path: &str) -> Result<Page, RouteError> {
             ("enabled", Value::from(ctx.prof)),
             ("report", parse(&prof::global().to_json())),
         ]),
-        "/debug/top" => top_body(ctx.prof, &prof::ledger().top(limit)),
+        "/debug/top" => {
+            let users = if costs {
+                insight::global().top(limit)
+            } else {
+                Vec::new()
+            };
+            top_body(costs, &users)
+        }
         "/debug/insight" => {
             roll(ctx);
-            let mut body = parse(&motro_obs::insight::global().to_json(limit));
+            let mut body = parse(&insight::global().to_json(limit));
             if let Value::Object(m) = &mut body {
                 m.insert("enabled".to_owned(), Value::from(ctx.insight));
             }
@@ -133,7 +146,7 @@ fn roll(ctx: &Ctx) {
     let layer = motro_obs::window::global();
     layer.roll_if_due();
     if ctx.insight {
-        motro_obs::insight::global().evaluate_alerts(layer);
+        insight::global().evaluate_alerts(layer);
     }
 }
 
@@ -284,19 +297,15 @@ fn slow_body<'a>(entries: impl Iterator<Item = &'a SlowQuery>) -> Value {
     obj(vec![("entries", Value::Array(entries))])
 }
 
-/// `/debug/top`: the per-user cost ledger, costliest (by wall-ns) first.
-fn top_body(enabled: bool, users: &[(String, UserCost)]) -> Value {
+/// `/debug/top`: each user's summed rollups, costliest (by wall-ns)
+/// first, as the [`COST_COLUMNS`].
+fn top_body(enabled: bool, users: &[(String, Rollup)]) -> Value {
     let users = users
         .iter()
-        .map(|(user, c)| {
-            obj(vec![
-                ("user", Value::from(user.as_str())),
-                ("requests", Value::from(c.requests)),
-                ("wall_ns", Value::from(c.wall_ns)),
-                ("alloc_bytes", Value::from(c.alloc_bytes)),
-                ("cells_masked", Value::from(c.cells_masked)),
-                ("cache_hits", Value::from(c.cache_hits)),
-            ])
+        .map(|(user, r)| {
+            let mut pairs = vec![("user", Value::from(user.as_str()))];
+            pairs.extend(COST_COLUMNS.map(|(key, get)| (key, Value::from(get(r)))));
+            obj(pairs)
         })
         .collect();
     obj(vec![
@@ -384,33 +393,6 @@ mod tests {
             );
         }
         assert_eq!(back.get("dep_index_keys").and_then(Value::as_u64), Some(11));
-    }
-
-    #[test]
-    fn top_body_renders_the_ledger() {
-        let users = vec![(
-            "Brown".to_owned(),
-            UserCost {
-                requests: 4,
-                wall_ns: 9000,
-                alloc_bytes: 512,
-                cells_masked: 6,
-                cache_hits: 2,
-            },
-        )];
-        let back = top_body(true, &users);
-        assert_eq!(back.get("enabled").and_then(Value::as_bool), Some(true));
-        let first = &back.get("users").and_then(Value::as_array).unwrap()[0];
-        assert_eq!(first.get("user").and_then(Value::as_str), Some("Brown"));
-        for (key, want) in [
-            ("requests", 4),
-            ("wall_ns", 9000),
-            ("alloc_bytes", 512),
-            ("cells_masked", 6),
-            ("cache_hits", 2),
-        ] {
-            assert_eq!(first.get(key).and_then(Value::as_u64), Some(want), "{key}");
-        }
     }
 
     #[test]

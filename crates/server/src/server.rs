@@ -84,9 +84,11 @@ pub struct ServerConfig {
     pub trace_mask_fraction: f64,
     /// Continuous profiling: profile every statement request, fold the
     /// finished span tree into the global collapsed-stack aggregate
-    /// ([`motro_obs::prof::global`]), charge the per-user cost ledger,
-    /// and switch on allocation counting (effective when the binary
-    /// installs [`motro_obs::alloc::CountingAlloc`]).
+    /// ([`motro_obs::prof::global`]), and switch on allocation counting
+    /// (effective when the binary installs
+    /// [`motro_obs::alloc::CountingAlloc`]). With insight on, it also
+    /// serves the per-principal cost table summed from the insight
+    /// rollups (`/debug/top`, `motro_user_cost_*`).
     pub prof: bool,
     /// Authorization analytics (on by default): fold every statement
     /// request's mask outcome and R2 split into the bounded
@@ -175,7 +177,7 @@ pub(crate) struct Ctx {
     pub(crate) slow: Mutex<VecDeque<SlowQuery>>,
     mat: Option<MatState>,
     pub(crate) trace: Option<TraceState>,
-    /// Continuous profiling + cost accounting on?
+    /// Continuous profiling (and, with insight, the cost table) on?
     pub(crate) prof: bool,
     /// Authorization analytics (insight rollups, drift, alerts) on?
     pub(crate) insight: bool,
@@ -254,8 +256,13 @@ struct RequestRecord {
     trace: Option<TraceContext>,
     /// From just after the queue wait until the reply is built, before
     /// encoding: the one number `server.request_ns`, its exemplar, the
-    /// slow-log threshold, the trace store, and the ledger all read.
+    /// slow-log threshold, the trace store, and the rollups all read.
     duration_ns: u64,
+    /// The span tree, when a profile session ran.
+    profile: Option<ProfileNode>,
+    /// The cache's `epoch_fallbacks` before the statement ran, when
+    /// traced: tail retention keeps the trace if it moved.
+    fallbacks_before: Option<u64>,
 }
 
 impl RequestRecord {
@@ -767,7 +774,9 @@ fn serve_request(
     motro_obs::histogram!("server.request_ns").record_ns(duration_ns);
     if let Some(mut record) = record {
         record.duration_ns = duration_ns;
-        fold(ctx, record, node, fallbacks_before);
+        record.profile = node;
+        record.fallbacks_before = fallbacks_before;
+        fold(ctx, record);
     }
     reply
 }
@@ -777,10 +786,10 @@ fn elapsed_ns(started: Instant) -> u64 {
 }
 
 /// Fold one finished statement request into every sink but the journal
-/// (already written under the read lock): the insight rollups, the
-/// profile aggregate and cost ledger, the slow log, and tail retention
-/// with its exemplar.
-fn fold(ctx: &Ctx, rec: RequestRecord, node: Option<ProfileNode>, fallbacks_before: Option<u64>) {
+/// (already written under the read lock): the insight rollups (the
+/// per-principal table), the profile aggregate, the slow log, and tail
+/// retention with its exemplar.
+fn fold(ctx: &Ctx, mut rec: RequestRecord) {
     if ctx.insight {
         let (views, full_access, r2) = match rec.mask.as_deref() {
             Some(m) => (&m.views[..], m.full_access, m.r2),
@@ -799,27 +808,21 @@ fn fold(ctx: &Ctx, rec: RequestRecord, node: Option<ProfileNode>, fallbacks_befo
             cells_masked: rec.cells_masked,
             cells_withheld: rec.cells_withheld,
             r2,
+            wall_ns: rec.duration_ns,
+            alloc_bytes: rec.profile.as_ref().map_or(0, |n| n.alloc_bytes),
         });
     }
-    let Some(node) = node else { return };
+    let Some(node) = rec.profile.take() else {
+        return;
+    };
     if ctx.prof {
         motro_obs::prof::global().fold(&node);
-        motro_obs::prof::ledger().charge(
-            &rec.principal,
-            &motro_obs::prof::UserCost {
-                requests: 1,
-                wall_ns: rec.duration_ns,
-                alloc_bytes: node.alloc_bytes,
-                cells_masked: rec.cells_suppressed(),
-                cache_hits: u64::from(rec.cached),
-            },
-        );
     }
     if ctx.slow_query_ns.is_some_and(|t| rec.duration_ns >= t) {
         log_slow(ctx, &rec, &node);
     }
     if let (Some(ts), Some(tc)) = (&ctx.trace, rec.trace) {
-        retain_trace(ctx, ts, tc, rec, node, fallbacks_before);
+        retain_trace(ctx, ts, tc, rec, node);
     }
 }
 
@@ -866,7 +869,6 @@ fn retain_trace(
     tc: TraceContext,
     rec: RequestRecord,
     node: ProfileNode,
-    fallbacks_before: Option<u64>,
 ) {
     let mut reasons: Vec<String> = Vec::new();
     if tc.sampled {
@@ -881,7 +883,7 @@ fn retain_trace(
     // The fallback counter is process-global, so a concurrent request's
     // fallback can force-keep this trace too; that over-approximation
     // is acceptable for a backstop signal.
-    if let Some(before) = fallbacks_before {
+    if let Some(before) = rec.fallbacks_before {
         if ctx.cache.stats().epoch_fallbacks > before {
             reasons.push("epoch_fallback".to_owned());
         }

@@ -1,10 +1,10 @@
 //! Continuous profiling end-to-end: allocation accounting, the
 //! `/debug/flame` collapsed-stack and `/debug/flame.svg` HTTP views,
-//! per-user cost attribution (`/debug/top`) checked against a
-//! journal-replay oracle, and feature-off inertness for pre-profiling
-//! clients.
+//! per-user cost attribution (`/debug/top`, the insight rollups summed
+//! per principal) checked against a journal-replay oracle, and
+//! feature-off inertness for pre-profiling clients.
 //!
-//! The aggregator, ledger, metrics registry, and allocation-counting
+//! The aggregator, rollups, metrics registry, and allocation-counting
 //! switch are process globals shared by every test in this binary, so
 //! each test takes [`guard`] and resets what it depends on.
 
@@ -22,7 +22,7 @@ use std::sync::Arc;
 #[global_allocator]
 static ALLOC: motro_obs::alloc::CountingAlloc = motro_obs::alloc::CountingAlloc::system();
 
-/// Serializes the tests (shared aggregator/ledger/counting switch).
+/// Serializes the tests (shared aggregator/rollups/counting switch).
 fn guard() -> parking_lot::MutexGuard<'static, ()> {
     static LOCK: std::sync::OnceLock<parking_lot::Mutex<()>> = std::sync::OnceLock::new();
     LOCK.get_or_init(|| parking_lot::Mutex::new(())).lock()
@@ -107,7 +107,7 @@ fn flame_endpoints_serve_collapsed_stacks_and_svg_agreeing_with_the_histogram() 
     let _g = guard();
     motro_obs::set_enabled(true);
     motro_obs::prof::global().reset();
-    motro_obs::prof::ledger().reset();
+    motro_obs::insight::global().reset();
 
     let server = Server::bind("127.0.0.1:0", frontend(), prof_config()).unwrap();
     let metrics =
@@ -176,6 +176,18 @@ fn flame_endpoints_serve_collapsed_stacks_and_svg_agreeing_with_the_histogram() 
         .map(|l| l.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap())
         .sum();
     assert!(alloc_total > 0, "no allocation attributed: {alloc_flame}");
+    // Self bytes re-fold: the lines sum to the root's inclusive bytes.
+    let prof = debug(&mut c, "/debug/prof");
+    let stages = prof.get("report").and_then(|r| r.get("stages"));
+    let root = stages
+        .and_then(Value::as_array)
+        .and_then(|s| {
+            s.iter()
+                .find(|s| s.get("path") == Some(&Value::from("retrieve")))
+        })
+        .unwrap_or_else(|| panic!("no retrieve root: {prof}"));
+    let root_bytes = root.get("alloc_bytes").and_then(Value::as_u64);
+    assert_eq!(Some(alloc_total), root_bytes, "{prof}");
 
     // The SVG is served with the right content type and is well formed
     // enough for a browser: one root <svg>, matching rect/title pairs.
@@ -200,7 +212,7 @@ fn top_ledger_agrees_with_a_journal_replay_oracle() {
     let _g = guard();
     motro_obs::set_enabled(true);
     motro_obs::prof::global().reset();
-    motro_obs::prof::ledger().reset();
+    motro_obs::insight::global().reset();
 
     let path = tmp("oracle");
     let config = ServerConfig {
@@ -223,7 +235,7 @@ fn top_ledger_agrees_with_a_journal_replay_oracle() {
     }
     // A retrieve frame carrying a non-retrieval statement is a shape
     // error: nothing was evaluated, so neither the journal nor the
-    // ledger counts it.
+    // rollups count it.
     assert!(brown.retrieve("permit PSA to Brown").is_err());
 
     let top = debug(&mut brown, "/debug/top");
@@ -247,10 +259,40 @@ fn top_ledger_agrees_with_a_journal_replay_oracle() {
         "slow entries missing alloc bytes: {slow}"
     );
 
+    // Each row is the sum of that principal's rollups.
+    let insight = debug(&mut brown, "/debug/insight");
+    let rollups = insight.get("rollups").and_then(Value::as_array).unwrap();
+    for u in &users {
+        let mut sum = [0u64; 5];
+        for r in rollups
+            .iter()
+            .filter(|r| r.get("principal") == u.get("user"))
+        {
+            let cols = [
+                n(r, "requests"),
+                n(r, "wall_ns"),
+                n(r, "alloc_bytes"),
+                n(r, "cells_masked") + n(r, "cells_withheld"),
+                n(r, "cached"),
+            ];
+            for (acc, v) in sum.iter_mut().zip(cols) {
+                *acc += v;
+            }
+        }
+        let cols = [
+            "requests",
+            "wall_ns",
+            "alloc_bytes",
+            "cells_masked",
+            "cache_hits",
+        ];
+        assert_eq!(cols.map(|key| n(u, key)), sum, "{u} vs {insight}");
+    }
+
     // The per-user series join the exposition and still validate.
     let exposition = debug(&mut brown, "/metrics");
     let text = exposition.as_str().unwrap();
-    let names = motro_obs::prom::validate(text).expect("exposition with ledger must validate");
+    let names = motro_obs::prom::validate(text).expect("exposition with cost series must validate");
     assert!(
         names.iter().any(|n| n.starts_with("motro_user_cost_")),
         "user cost series missing: {names:?}"
@@ -258,7 +300,7 @@ fn top_ledger_agrees_with_a_journal_replay_oracle() {
     assert!(text.contains("user=\"Brown\""), "{text}");
 
     // Oracle: replay the journal's query records and count per
-    // principal — total requests and cache hits must match the ledger.
+    // principal — total requests and cache hits must match the table.
     drop(server); // flush + close the live segment
     let files = journal::segments(&path); // rotated segments then live
     let mut journaled: std::collections::BTreeMap<String, (u64, u64)> = Default::default();
@@ -299,14 +341,14 @@ fn profiling_off_is_inert_for_old_clients() {
     let _g = guard();
     motro_obs::set_enabled(true);
     motro_obs::prof::global().reset();
-    motro_obs::prof::ledger().reset();
+    motro_obs::insight::global().reset();
     motro_obs::alloc::set_counting(false);
 
     let server = Server::bind("127.0.0.1:0", frontend(), ServerConfig::default()).unwrap();
     let folds_before = motro_obs::prof::global().folds();
 
     // A pre-profiling client speaking raw frames sees byte-compatible
-    // replies: no new fields on rows, no counting, no ledger charges.
+    // replies: no new fields on rows, no counting, no cost charges.
     let mut s = TcpStream::connect(server.local_addr()).unwrap();
     s.set_nodelay(true).unwrap();
     writeln!(s, r#"{{"type":"hello","user":"Brown"}}"#).unwrap();
@@ -330,7 +372,13 @@ fn profiling_off_is_inert_for_old_clients() {
         folds_before,
         "a prof-off server must not fold"
     );
-    assert!(motro_obs::prof::ledger().is_empty(), "nothing charged");
+    assert!(
+        motro_obs::insight::global()
+            .top(0)
+            .iter()
+            .all(|(_, r)| r.alloc_bytes == 0),
+        "nothing charged"
+    );
     assert!(!motro_obs::alloc::counting(), "counting stays off");
 
     // New clients still get answers — flagged disabled, with no data.
@@ -349,4 +397,37 @@ fn profiling_off_is_inert_for_old_clients() {
     let exposition = debug(&mut c, "/metrics");
     let text = exposition.as_str().unwrap();
     assert!(!text.contains("motro_user_cost_"), "{text}");
+}
+
+#[test]
+fn cost_table_needs_insight_but_prof_still_folds() {
+    let _g = guard();
+    motro_obs::set_enabled(true);
+    motro_obs::prof::global().reset();
+
+    let config = ServerConfig {
+        insight: false,
+        ..prof_config()
+    };
+    let server = Server::bind("127.0.0.1:0", frontend(), config).unwrap();
+    let mut c = Client::connect(server.local_addr(), "Brown").unwrap();
+    for _ in 0..3 {
+        c.retrieve(Q).unwrap();
+    }
+
+    // The table records only while insight is on: flagged disabled and
+    // empty, and no per-user series, whatever the rollups hold.
+    let top = debug(&mut c, "/debug/top");
+    assert_eq!(top.get("enabled"), Some(&Value::Bool(false)), "{top}");
+    let users = top.get("users").and_then(Value::as_array);
+    assert_eq!(users.map(Vec::len), Some(0), "{top}");
+    let exposition = debug(&mut c, "/metrics");
+    assert!(!exposition.as_str().unwrap().contains("motro_user_cost_"));
+
+    // Profiling itself is unaffected.
+    let prof = debug(&mut c, "/debug/prof");
+    assert_eq!(prof.get("enabled"), Some(&Value::Bool(true)), "{prof}");
+    let folds = prof.get("report").and_then(|r| r.get("folds"));
+    assert_eq!(folds.and_then(Value::as_u64), Some(3), "{prof}");
+    motro_obs::alloc::set_counting(false);
 }
