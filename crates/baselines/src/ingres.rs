@@ -25,12 +25,11 @@
 
 use motro_rel::{DbSchema, RelResult, Value};
 use motro_views::{AttrRef, CalcAtom, CalcTerm, ConjunctiveQuery};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A single-relation permission: user, relation, permitted attributes,
 /// and a qualification over that relation's attributes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IngresPermission {
     /// The grantee.
     pub user: String,
@@ -44,7 +43,7 @@ pub struct IngresPermission {
 }
 
 /// The outcome of query modification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum IngresOutcome {
     /// The (possibly modified) query the engine may run.
     Modified(ConjunctiveQuery),
@@ -70,7 +69,7 @@ impl IngresOutcome {
 type CoveredOccurrence<'a> = ((String, u32), Vec<&'a IngresPermission>);
 
 /// The permission store plus the modification algorithm.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct IngresStore {
     perms: Vec<IngresPermission>,
 }

@@ -16,12 +16,11 @@
 //! tables V is defined over.
 
 use motro_rel::{CanonicalPlan, Database, RelResult, Relation};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A privilege on an object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Privilege {
     /// Read.
     Select,
@@ -56,7 +55,7 @@ impl fmt::Display for Privilege {
 }
 
 /// What an object is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ObjectKind {
     /// A base table.
     Table,
@@ -70,7 +69,7 @@ pub enum ObjectKind {
 }
 
 /// One grant record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grant {
     /// Who granted.
     pub grantor: String,
@@ -134,7 +133,7 @@ impl fmt::Display for SystemRError {
 impl std::error::Error for SystemRError {}
 
 /// The System R authorization state.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SystemR {
     objects: BTreeMap<String, (String, ObjectKind)>, // name → (owner, kind)
     grants: Vec<Grant>,

@@ -339,31 +339,24 @@ fn storage() {
     for (name, t) in &tables {
         println!("{name}:\n{}", t.to_table());
     }
-    // Reboot and confirm behavioral equivalence on Example 1.
+    // Reboot and confirm that every example's mask renders byte for
+    // byte as before.
     let db = fixtures::paper_database();
     let rebooted = motro_core::decode_store(db.schema(), &tables).expect("storage decodes");
-    let (_, q) = paper_query(1);
-    let before = AuthorizedEngine::new(&db, &store)
-        .retrieve("Brown", &q)
-        .expect("runs");
-    let after = AuthorizedEngine::new(&db, &rebooted)
-        .retrieve("Brown", &q)
-        .expect("runs");
-    println!(
-        "reboot check (Example 1): delivered {} rows before, {} after; permits equal: {}",
-        before.masked.len(),
-        after.masked.len(),
-        before
-            .permits
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            == after
-                .permits
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-    );
+    for n in 1..=3 {
+        let (user, q) = paper_query(n);
+        let [before, after] = [&store, &rebooted].map(|s| {
+            AuthorizedEngine::new(&db, s)
+                .retrieve(user, &q)
+                .expect("runs")
+        });
+        println!(
+            "reboot check (Example {n}): delivered {} rows before, {} after; masks render identically: {}",
+            before.masked.len(),
+            after.masked.len(),
+            before.mask.canonical_render() == after.mask.canonical_render()
+        );
+    }
 }
 
 fn sizes() {

@@ -19,12 +19,11 @@ use motro_baselines::{IngresOutcome, IngresPermission, IngresStore, Privilege, S
 use motro_core::{AuthStore, AuthorizedEngine, RefinementConfig};
 use motro_rel::{algebra, CompOp, Database, Predicate, PredicateAtom, Value};
 use motro_views::{compile, AttrRef, ConjunctiveQuery};
-use serde::Serialize;
 
 use crate::workload::{ScaledWorld, WorldParams};
 
 /// The five workload classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadClass {
     /// Query identical to the granted view.
     Exact,
@@ -71,7 +70,7 @@ impl WorkloadClass {
 }
 
 /// One model's score on one class.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ModelScore {
     /// Cells delivered.
     pub delivered: usize,
@@ -91,7 +90,7 @@ fn score(delivered: usize, entitled: usize) -> ModelScore {
 }
 
 /// One row of the utility table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct UtilityRow {
     /// The workload class.
     pub class: WorkloadClass,
@@ -486,7 +485,7 @@ pub fn render_utility_table(rows: &[UtilityRow]) -> String {
 /// One row of the ablation table (experiment B-ABLATE): the Motro
 /// engine's utility per workload class under a refinement
 /// configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AblationRow {
     /// Configuration label.
     pub config: &'static str,

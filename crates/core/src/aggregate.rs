@@ -23,10 +23,9 @@ use crate::authorize::AuthorizedEngine;
 use crate::error::{CoreError, CoreResult};
 use motro_rel::{group_by, Relation};
 use motro_views::{AggregateQuery, CalcTerm};
-use serde::{Deserialize, Serialize};
 
 /// How an aggregate answer was authorized.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AggAccessMode {
     /// Matched a granted aggregate view (full data, no row access
     /// implied).
@@ -46,7 +45,7 @@ pub enum AggAccessMode {
 }
 
 /// The outcome of an authorized aggregate retrieval.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AggregateOutcome {
     /// The grouped result (empty when denied).
     pub result: Relation,

@@ -28,11 +28,10 @@ use crate::metatuple::MetaTuple;
 use crate::store::AuthStore;
 use motro_rel::{CanonicalPlan, Database, ExecConfig, Relation};
 use motro_views::{compile, ConjunctiveQuery};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Switches for the Section 4 refinements (all on by default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefinementConfig {
     /// R1: padded meta-products (`(a₁..aₘ, ⊔..⊔)` rows).
     pub product_padding: bool,
@@ -83,7 +82,7 @@ impl RefinementConfig {
 
 /// Intermediate meta-relation states for one authorization, mirroring
 /// the tables of the paper's Section 5 examples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AuthTrace {
     /// The canonical plan that was executed twice.
     pub plan: CanonicalPlan,
@@ -107,13 +106,12 @@ pub struct AuthTrace {
     /// indexed `[clear, retain, modify, discard, clear_fallback]`.
     /// Unlike [`AuthTrace::steps`] it is recorded even without decision
     /// logging, at no per-row rendering cost.
-    #[serde(default)]
     pub r2_tally: [u64; 5],
 }
 
 /// One meta-selection step: the predicate atom applied and what R2
 /// decided for each meta-tuple that entered it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SelectionStep {
     /// Index of the atom in the plan's selection predicate.
     pub atom_index: usize,
@@ -124,7 +122,7 @@ pub struct SelectionStep {
 }
 
 /// The result of an authorized retrieval.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccessOutcome {
     /// The raw answer `A` (system side — *not* what the user sees).
     pub answer: Relation,

@@ -27,13 +27,12 @@
 
 use crate::metatuple::VarId;
 use motro_rel::{CompOp, Value};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Right-hand side of a constraint atom.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rhs {
     /// Another variable.
     Var(VarId),
@@ -51,7 +50,7 @@ impl fmt::Display for Rhs {
 }
 
 /// A comparison atom `x θ rhs` over view variables.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConstraintAtom {
     /// Left variable.
     pub lhs: VarId,
@@ -127,7 +126,7 @@ impl fmt::Display for ConstraintAtom {
 
 /// A conjunction of [`ConstraintAtom`]s, kept in canonical (normalized,
 /// sorted, deduplicated) form so equal conjunctions compare equal.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ConstraintSet {
     atoms: Vec<ConstraintAtom>,
 }
@@ -299,7 +298,7 @@ impl fmt::Display for ConstraintSet {
 }
 
 /// An endpoint of an interval.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Bound {
     /// No bound on this side.
     Unbounded,
@@ -311,7 +310,7 @@ pub enum Bound {
 
 /// The set of values satisfying a conjunction of comparisons against
 /// constants: an interval with `≠` exclusion points.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Interval {
     lo: Bound,
     hi: Bound,

@@ -22,6 +22,9 @@ pub enum CoreError {
     },
     /// Internal invariant violation (a bug if it ever surfaces).
     Internal(String),
+    /// Storage relations that do not describe a store (see
+    /// [`crate::storage::decode_store`]), e.g. from a damaged snapshot.
+    Storage(String),
 }
 
 impl fmt::Display for CoreError {
@@ -34,6 +37,7 @@ impl fmt::Display for CoreError {
                 write!(f, "no grant of {view} to {user}")
             }
             CoreError::Internal(m) => write!(f, "internal error: {m}"),
+            CoreError::Storage(m) => write!(f, "bad storage: {m}"),
         }
     }
 }

@@ -15,10 +15,9 @@
 use crate::authorize::{AuthTrace, SelectionStep};
 use crate::mask::Mask;
 use motro_rel::Relation;
-use serde::{Deserialize, Serialize};
 
 /// One mask meta-tuple, as the EXPLAIN output references it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaskTupleExplain {
     /// Paper-style rendering, e.g. `[PSA] (*, Acme*)`.
     pub rendered: String,
@@ -30,7 +29,7 @@ pub struct MaskTupleExplain {
 }
 
 /// Why one mask tuple did not grant one cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellDenial {
     /// Index into [`AuthExplain::mask_tuples`].
     pub mask_tuple: usize,
@@ -39,7 +38,7 @@ pub struct CellDenial {
 }
 
 /// One cell of one answer row, explained.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellExplain {
     /// Column display name.
     pub column: String,
@@ -54,7 +53,7 @@ pub struct CellExplain {
 }
 
 /// One answer row, explained cell by cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RowExplain {
     /// Does the user see any part of this row?
     pub delivered: bool,
@@ -63,7 +62,7 @@ pub struct RowExplain {
 }
 
 /// The full audit of one authorized retrieval.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AuthExplain {
     /// The user the query was authorized for.
     pub user: String,

@@ -16,12 +16,11 @@ use crate::meta_algebra::cell_admits;
 use crate::metarel::render_table;
 use crate::metatuple::{CellContent, MetaTuple, VarId};
 use motro_rel::{RelSchema, Relation, Tuple, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// The permission mask for one query's answer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mask {
     /// The answer's schema.
     pub schema: RelSchema,
@@ -257,7 +256,7 @@ fn admits(mt: &MetaTuple, t: &Tuple) -> bool {
 }
 
 /// A masked answer: the query's schema with per-cell visibility.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaskedRelation {
     /// The answer schema.
     pub schema: RelSchema,
@@ -312,7 +311,7 @@ impl MaskedRelation {
 }
 
 /// One condition of an inferred `permit` statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PermitCondition {
     /// `ATTR θ constant`.
     AttrConst {
@@ -347,7 +346,7 @@ impl fmt::Display for PermitCondition {
 
 /// An inferred `permit` statement: the paper's
 /// `permit (NUMBER, SPONSOR) where SPONSOR = Acme`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PermitStatement {
     /// Attributes delivered by this portion.
     pub attrs: Vec<String>,

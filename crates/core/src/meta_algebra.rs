@@ -24,7 +24,6 @@
 use crate::constraint::{ConstraintAtom, Interval, Rhs, SelectionCase};
 use crate::metatuple::{CellContent, MetaCell, MetaTuple, VarId};
 use motro_rel::{CompOp, ExecConfig, PredicateAtom, Term, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -39,7 +38,7 @@ pub enum SelectMode {
 
 /// The outcome of one R2 (§4.2) selection decision on one meta-tuple,
 /// as recorded for the tallies and the EXPLAIN trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum R2Decision {
     /// λ ⊨ µ: the query predicate implies the field condition — the
     /// condition is erased (the cell becomes blank).
@@ -79,7 +78,7 @@ impl fmt::Display for R2Decision {
 
 /// One recorded R2 decision: which meta-tuple (by provenance and
 /// rendered form), what the case analysis decided, and what survived.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionRecord {
     /// Views the meta-tuple derives from.
     pub provenance: Vec<String>,

@@ -8,10 +8,9 @@
 
 use crate::metatuple::{MetaTuple, TupleId};
 use motro_rel::{RelSchema, Relation};
-use serde::{Deserialize, Serialize};
 
 /// The meta-relation `R'` of one base relation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MetaRelation {
     /// Name of the base relation `R`.
     pub rel: String,

@@ -28,7 +28,6 @@
 
 use crate::constraint::ConstraintSet;
 use motro_rel::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -41,7 +40,7 @@ pub type TupleId = u32;
 pub type VarId = u32;
 
 /// The content of a meta-cell (without the star).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CellContent {
     /// Blank `⊔`: no selection condition on this attribute.
     Blank,
@@ -52,7 +51,7 @@ pub enum CellContent {
 }
 
 /// One field of a meta-tuple: content plus the projection star.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MetaCell {
     /// Selection content.
     pub content: CellContent,
@@ -130,7 +129,7 @@ impl fmt::Display for MetaCell {
 
 /// A meta-tuple: a subview definition plus its bookkeeping (see module
 /// docs).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetaTuple {
     /// View names this tuple descends from (sorted set).
     pub provenance: BTreeSet<String>,

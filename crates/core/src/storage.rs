@@ -3,34 +3,43 @@
 //!
 //! [`encode_store`] materializes an [`AuthStore`] as ordinary
 //! [`Relation`]s — one `R'` per base relation (scheme mirrored, all
-//! string-typed, plus the `VIEW` column) holding the meta-tuples in the
-//! paper's notation (`x₁*`, `Acme*`, blank), the auxiliary
-//! `COMPARISON = (VIEW, X, COMPARE, Y)` and `PERMISSION = (USER, VIEW)`
-//! relations, and (extensions) `MEMBERSHIP = (GROUP, USER)` for group
-//! principals. [`decode_store`] reboots a fully functional store from
-//! those relations alone: the meta-tuples are parsed back, each view's
+//! string-typed, plus the `VIEW` and `ATOM` columns) holding the
+//! meta-tuples in the paper's notation (`x₁*`, `Acme*`, blank), the
+//! auxiliary `COMPARISON = (VIEW, X, COMPARE, Y)` and
+//! `PERMISSION = (USER, VIEW)` relations, and three extension tables:
+//! `MEMBERSHIP = (GROUP, USER)` for group principals,
+//! `AGGREGATE = (VIEW, STATEMENT)` for aggregate views, and
+//! `SETTINGS = (KEY, VALUE)` for the id counters, the self-join rounds
+//! and the epoch. [`decode_store`] reboots the same store from those
+//! relations alone: the meta-tuples are parsed back, each view's
 //! statement is *decompiled* from its normal form (the paper never
-//! stores statement text), and grants are replayed — demonstrating that
-//! the Section 3 representation is complete.
+//! stores a row view's statement text), and grants are replayed. With
+//! the base relations, these tables are the whole persisted state (the
+//! umbrella crate's `Frontend::to_json` writes them as one JSON
+//! document, adding its refinement flags to `SETTINGS`).
 //!
 //! Encoding notes:
 //!
 //! * string constants that would be ambiguous in the notation (they
 //!   look like a variable `x12`, end in `*`, are empty, or carry
 //!   quotes) are single-quoted;
-//! * an `ATOM` ordinal column disambiguates a view's meta-tuples (the
-//!   paper's Figure 1 lists EST's identical meta-tuple twice, which a
-//!   set-semantics relation cannot hold);
+//! * `ATOM` holds the stored meta-tuple's id. Ids are unique and
+//!   increase within a view, so `ATOM` orders a view's meta-tuples and
+//!   tells apart the identical ones Figure 1 lists for EST (which a
+//!   set-semantics relation could not hold twice);
+//! * the decoder installs views in id order and reproduces every tuple
+//!   and variable id, gaps left by dropped views included, so a
+//!   rebooted store renders every mask byte for byte as before;
 //! * disjunctive-view branches beyond the first are tagged
 //!   `NAME#k` in the `VIEW` column (the paper has no branches);
 //! * stored self-join combinations are *not* encoded — the store
 //!   regenerates them, exactly as it does after any definition change;
-//! * aggregate views are outside the paper's storage model and are not
-//!   encoded (use the JSON persistence for full extension state).
+//! * aggregate views are stored as their statement text.
 
 use crate::error::{CoreError, CoreResult};
-use crate::metatuple::{CellContent, MetaCell};
-use crate::store::AuthStore;
+use crate::metatuple::{CellContent, MetaCell, TupleId};
+use crate::store::{AuthStore, BranchEntry};
+use motro_lang::{parse_statement, Statement};
 use motro_rel::{DbSchema, Domain, RelSchema, Relation, Tuple, Value};
 use motro_views::{CompRhs, MembershipAtom, NormalizedView, VarComparison};
 use std::collections::BTreeMap;
@@ -47,20 +56,25 @@ fn str_columns(names: &[&str]) -> RelSchema {
     )
 }
 
-/// Storage rendering of a meta-cell: the paper's notation with quoting
-/// for ambiguous constants.
+fn bad(msg: impl Into<String>) -> CoreError {
+    CoreError::Storage(msg.into())
+}
+
+/// Storage rendering of a constant: the paper's notation, quoted when
+/// ambiguous.
+fn encode_const(v: &Value) -> String {
+    match v {
+        Value::Str(s) if needs_quoting(s) => format!("'{s}'"),
+        v => v.to_string(),
+    }
+}
+
+/// Storage rendering of a meta-cell.
 fn encode_cell(cell: &MetaCell) -> String {
     let base = match &cell.content {
         CellContent::Blank => String::new(),
         CellContent::Var(x) => format!("x{x}"),
-        CellContent::Const(Value::Int(i)) => i.to_string(),
-        CellContent::Const(Value::Str(s)) => {
-            if needs_quoting(s) {
-                format!("'{s}'")
-            } else {
-                s.clone()
-            }
-        }
+        CellContent::Const(v) => encode_const(v),
     };
     if cell.starred {
         format!("{base}*")
@@ -81,8 +95,14 @@ fn looks_like_var(s: &str) -> bool {
     s.len() > 1 && s.starts_with('x') && s[1..].chars().all(|c| c.is_ascii_digit())
 }
 
-/// Parse a storage cell back (the column's domain disambiguates
-/// integer constants).
+fn parse_var(s: &str) -> CoreResult<u32> {
+    s.strip_prefix('x')
+        .and_then(|d| d.parse().ok())
+        .ok_or_else(|| bad(format!("bad variable {s}")))
+}
+
+/// Parse a storage cell back. The column's domain types the constant,
+/// so a decoded constant always fits its column.
 fn decode_cell(text: &str, domain: Domain) -> CoreResult<MetaCell> {
     let (body, starred) = match text.strip_suffix('*') {
         Some(b) => (b, true),
@@ -90,96 +110,146 @@ fn decode_cell(text: &str, domain: Domain) -> CoreResult<MetaCell> {
     };
     let content = if body.is_empty() {
         CellContent::Blank
-    } else if let Some(q) = body.strip_prefix('\'').and_then(|b| b.strip_suffix('\'')) {
-        CellContent::Const(Value::str(q))
     } else if looks_like_var(body) {
-        CellContent::Var(
-            body[1..]
-                .parse()
-                .map_err(|_| CoreError::Internal(format!("bad variable in storage: {body}")))?,
-        )
+        CellContent::Var(parse_var(body)?)
     } else if domain == Domain::Int {
-        CellContent::Const(Value::Int(body.parse().map_err(|_| {
-            CoreError::Internal(format!("bad integer constant in storage: {body}"))
-        })?))
+        CellContent::Const(Value::Int(
+            body.parse()
+                .map_err(|_| bad(format!("bad integer constant {body}")))?,
+        ))
     } else {
-        CellContent::Const(Value::str(body))
+        let unquoted = body.strip_prefix('\'').and_then(|b| b.strip_suffix('\''));
+        CellContent::Const(Value::str(unquoted.unwrap_or(body)))
     };
     Ok(MetaCell { content, starred })
+}
+
+/// Every view branch with its storage tag: the view name, `#k`-suffixed
+/// for branches beyond the first.
+fn branches(store: &AuthStore) -> CoreResult<Vec<(String, &BranchEntry)>> {
+    let mut out = Vec::new();
+    for name in store.view_names() {
+        for (k, b) in store.view(name)?.branches.iter().enumerate() {
+            let tag = match k {
+                0 => name.to_owned(),
+                k => format!("{name}#{}", k + 1),
+            };
+            out.push((tag, b));
+        }
+    }
+    Ok(out)
 }
 
 /// Materialize the store as relations (see module docs).
 pub fn encode_store(store: &AuthStore) -> CoreResult<BTreeMap<String, Relation>> {
     let mut out = BTreeMap::new();
-    let scheme = store.scheme();
+    let branches = branches(store)?;
+    let tag_of: BTreeMap<TupleId, &str> = branches
+        .iter()
+        .flat_map(|(tag, b)| b.tuple_ids.iter().map(move |id| (*id, tag.as_str())))
+        .collect();
+    let mut put = |name: &str, columns: &[&str], rows: Vec<Vec<Value>>| -> CoreResult<()> {
+        let rows = rows.into_iter().map(Tuple::new).collect();
+        out.insert(
+            name.to_owned(),
+            Relation::from_rows(str_columns(columns), rows)?,
+        );
+        Ok(())
+    };
+    let pairs = |rows: Vec<(String, String)>| {
+        let row = |(a, b)| vec![Value::str(a), Value::str(b)];
+        rows.into_iter().map(row).collect()
+    };
 
-    // The meta-relations.
-    for (rel, def) in scheme.iter() {
-        let mut names: Vec<&str> = vec!["VIEW", "ATOM"];
-        let attr_names: Vec<String> = def
-            .schema
-            .columns()
-            .iter()
-            .map(|c| c.qual.attr.clone())
-            .collect();
-        names.extend(attr_names.iter().map(String::as_str));
-        let schema = str_columns(&names);
-        let mut table = Relation::new(schema);
-        let mr = store.meta_relation(rel)?;
-        for t in &mr.tuples {
-            let (tag, ordinal) = store.storage_position_of(t).ok_or_else(|| {
-                CoreError::Internal("stored meta-tuple without a branch".to_owned())
-            })?;
-            let mut row = vec![Value::str(tag), Value::str(ordinal.to_string())];
+    // The meta-relations, one row per stored meta-tuple (a stored
+    // meta-tuple covers exactly its own id).
+    for (rel, def) in store.scheme().iter() {
+        let mut columns = vec!["VIEW", "ATOM"];
+        columns.extend(def.schema.columns().iter().map(|c| c.qual.attr.as_str()));
+        let mut rows = Vec::new();
+        for t in &store.meta_relation(rel)?.tuples {
+            let (id, tag) = t
+                .covers
+                .first()
+                .and_then(|id| Some((id, tag_of.get(id)?)))
+                .ok_or_else(|| CoreError::Internal("stored meta-tuple without a branch".into()))?;
+            let mut row = vec![Value::str(*tag), Value::str(id.to_string())];
             row.extend(t.cells.iter().map(|c| Value::str(encode_cell(c))));
-            table.insert(Tuple::new(row)).map_err(CoreError::Rel)?;
+            rows.push(row);
         }
-        out.insert(meta_table_name(rel), table);
+        put(&meta_table_name(rel), &columns, rows)?;
     }
+    let comparisons = branches.iter().flat_map(|(tag, b)| {
+        b.comparisons.iter().map(move |a| {
+            let y = match &a.rhs {
+                crate::constraint::Rhs::Var(v) => format!("x{v}"),
+                crate::constraint::Rhs::Const(c) => encode_const(c),
+            };
+            [tag.clone(), format!("x{}", a.lhs), a.op.to_string(), y]
+                .map(Value::str)
+                .to_vec()
+        })
+    });
+    put(
+        "COMPARISON",
+        &["VIEW", "X", "COMPARE", "Y"],
+        comparisons.collect(),
+    )?;
+    // PERMISSION holds group grants with the `group:` prefix.
+    put("PERMISSION", &["USER", "VIEW"], pairs(store.all_grants()))?;
+    put(
+        "MEMBERSHIP",
+        &["GROUP", "USER"],
+        pairs(store.all_memberships()),
+    )?;
+    let aggregates = store.aggregate_views().iter();
+    let aggregates = aggregates
+        .map(|(n, q)| (n.clone(), q.to_string()))
+        .collect();
+    put("AGGREGATE", &["VIEW", "STATEMENT"], pairs(aggregates))?;
 
-    // COMPARISON.
-    let mut comparison = Relation::new(str_columns(&["VIEW", "X", "COMPARE", "Y"]));
-    for (tag, atom) in store.all_comparisons() {
-        let y = match &atom.rhs {
-            crate::constraint::Rhs::Var(v) => format!("x{v}"),
-            crate::constraint::Rhs::Const(Value::Int(i)) => i.to_string(),
-            crate::constraint::Rhs::Const(Value::Str(s)) => {
-                if needs_quoting(s) {
-                    format!("'{s}'")
-                } else {
-                    s.clone()
-                }
-            }
-        };
-        comparison
-            .insert(Tuple::new(vec![
-                Value::str(tag.clone()),
-                Value::str(format!("x{}", atom.lhs)),
-                Value::str(atom.op.to_string()),
-                Value::str(y),
-            ]))
-            .map_err(CoreError::Rel)?;
-    }
-    out.insert("COMPARISON".to_owned(), comparison);
-
-    // PERMISSION (group grants with the `group:` prefix).
-    let mut permission = Relation::new(str_columns(&["USER", "VIEW"]));
-    for (principal, view) in store.all_grants() {
-        permission
-            .insert(Tuple::new(vec![Value::str(principal), Value::str(view)]))
-            .map_err(CoreError::Rel)?;
-    }
-    out.insert("PERMISSION".to_owned(), permission);
-
-    // MEMBERSHIP (extension).
-    let mut membership = Relation::new(str_columns(&["GROUP", "USER"]));
-    for (group, user) in store.all_memberships() {
-        membership
-            .insert(Tuple::new(vec![Value::str(group), Value::str(user)]))
-            .map_err(CoreError::Rel)?;
-    }
-    out.insert("MEMBERSHIP".to_owned(), membership);
+    let settings = store
+        .settings()
+        .map(|(k, v)| Tuple::new(vec![Value::str(k), Value::Int(v as i64)]));
+    let schema = RelSchema::base("<storage>", &[("KEY", Domain::Str), ("VALUE", Domain::Int)]);
+    out.insert(
+        "SETTINGS".to_owned(),
+        Relation::from_rows(schema, settings.to_vec())?,
+    );
     Ok(out)
+}
+
+/// Storage table `name`, checked to have `arity` columns.
+fn table<'a>(
+    tables: &'a BTreeMap<String, Relation>,
+    name: &str,
+    arity: usize,
+) -> CoreResult<&'a Relation> {
+    let t = tables
+        .get(name)
+        .ok_or_else(|| bad(format!("missing table {name}")))?;
+    if t.schema().arity() != arity {
+        return Err(bad(format!("{name} needs {arity} columns")));
+    }
+    Ok(t)
+}
+
+/// Text cell `i` of a storage row.
+fn text(row: &Tuple, i: usize) -> CoreResult<&str> {
+    row.value(i)
+        .as_str()
+        .ok_or_else(|| bad(format!("non-text cell in {row}")))
+}
+
+/// One `SETTINGS` value, converted to the caller's type (the umbrella
+/// crate's front-end keeps its refinement flags there too).
+pub fn setting<T: TryFrom<i64>>(tables: &BTreeMap<String, Relation>, key: &str) -> CoreResult<T> {
+    table(tables, "SETTINGS", 2)?
+        .rows()
+        .iter()
+        .find(|r| r.value(0).as_str() == Some(key))
+        .and_then(|r| T::try_from(r.value(1).as_int()?).ok())
+        .ok_or_else(|| bad(format!("SETTINGS lacks a valid {key}")))
 }
 
 /// Reboot a store from its storage relations (see module docs).
@@ -187,37 +257,19 @@ pub fn decode_store(
     scheme: &DbSchema,
     tables: &BTreeMap<String, Relation>,
 ) -> CoreResult<AuthStore> {
-    // Collect branches: tag → (per-relation atoms in storage order).
-    #[derive(Default)]
-    struct Branch {
-        atoms: Vec<(usize, MembershipAtom)>,
-        comparisons: Vec<VarComparison>,
-    }
+    // Branch tag → (stored atoms by tuple id, comparisons in row order).
+    type Branch = (BTreeMap<TupleId, MembershipAtom>, Vec<VarComparison>);
     let mut branches: BTreeMap<String, Branch> = BTreeMap::new();
-
     for (rel, def) in scheme.iter() {
-        let Some(table) = tables.get(&meta_table_name(rel)) else {
-            continue;
-        };
-        for row in table.rows() {
-            let tag = row
-                .value(0)
-                .as_str()
-                .ok_or_else(|| CoreError::Internal("VIEW column must be text".to_owned()))?
-                .to_owned();
-            let ordinal: usize = row
-                .value(1)
-                .as_str()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| CoreError::Internal("bad ATOM ordinal".to_owned()))?;
-            let mut terms = Vec::with_capacity(def.schema.arity());
-            let mut starred = Vec::with_capacity(def.schema.arity());
-            for i in 0..def.schema.arity() {
-                let text = row
-                    .value(i + 2)
-                    .as_str()
-                    .ok_or_else(|| CoreError::Internal("meta cells must be text".to_owned()))?;
-                let cell = decode_cell(text, def.schema.domain(i))?;
+        let arity = def.schema.arity();
+        for row in table(tables, &meta_table_name(rel), arity + 2)?.rows() {
+            let id = text(row, 1)?
+                .parse()
+                .map_err(|_| bad(format!("bad ATOM in {row}")))?;
+            let mut terms = Vec::with_capacity(arity);
+            let mut starred = Vec::with_capacity(arity);
+            for i in 0..arity {
+                let cell = decode_cell(text(row, i + 2)?, def.schema.domain(i))?;
                 starred.push(cell.starred);
                 terms.push(match cell.content {
                     CellContent::Blank => motro_views::VarTerm::Anon,
@@ -225,104 +277,91 @@ pub fn decode_store(
                     CellContent::Var(x) => motro_views::VarTerm::Var(x),
                 });
             }
-            branches.entry(tag).or_default().atoms.push((
-                ordinal,
-                MembershipAtom {
-                    rel: rel.clone(),
-                    terms,
-                    starred,
-                },
-            ));
-        }
-    }
-
-    if let Some(table) = tables.get("COMPARISON") {
-        for row in table.rows() {
-            let get = |i: usize| -> CoreResult<&str> {
-                row.value(i)
-                    .as_str()
-                    .ok_or_else(|| CoreError::Internal("COMPARISON must be text".to_owned()))
+            let atom = MembershipAtom {
+                rel: rel.clone(),
+                terms,
+                starred,
             };
-            let tag = get(0)?.to_owned();
-            let x = get(1)?;
-            if !looks_like_var(x) {
-                return Err(CoreError::Internal(format!("bad X in COMPARISON: {x}")));
+            let branch = branches.entry(text(row, 0)?.to_owned()).or_default();
+            if branch.0.insert(id, atom).is_some() {
+                return Err(bad(format!("duplicate ATOM {id}")));
             }
-            let lhs = x[1..]
-                .parse()
-                .map_err(|_| CoreError::Internal(format!("bad X in COMPARISON: {x}")))?;
-            let op = parse_op(get(2)?)?;
-            let ytext = get(3)?;
-            let rhs = if looks_like_var(ytext) {
-                CompRhs::Var(
-                    ytext[1..].parse().map_err(|_| {
-                        CoreError::Internal(format!("bad Y in COMPARISON: {ytext}"))
-                    })?,
-                )
-            } else if let Some(q) = ytext.strip_prefix('\'').and_then(|b| b.strip_suffix('\'')) {
-                CompRhs::Const(Value::str(q))
-            } else if let Ok(i) = ytext.parse::<i64>() {
-                CompRhs::Const(Value::Int(i))
-            } else {
-                CompRhs::Const(Value::str(ytext))
-            };
-            branches
-                .entry(tag)
-                .or_default()
-                .comparisons
-                .push(VarComparison { lhs, op, rhs });
         }
     }
-
-    // Group branch tags by view name and install in branch order.
-    let mut by_view: BTreeMap<String, Vec<(usize, Branch)>> = BTreeMap::new();
-    for (tag, branch) in branches {
-        let (name, idx) = match tag.split_once('#') {
-            Some((n, k)) => (
-                n.to_owned(),
-                k.parse::<usize>().map_err(|_| {
-                    CoreError::Internal(format!("bad branch tag in storage: {tag}"))
-                })?,
-            ),
-            None => (tag.clone(), 1),
+    for row in table(tables, "COMPARISON", 4)?.rows() {
+        let y = text(row, 3)?;
+        let rhs = if looks_like_var(y) {
+            CompRhs::Var(parse_var(y)?)
+        } else if let Some(q) = y.strip_prefix('\'').and_then(|b| b.strip_suffix('\'')) {
+            CompRhs::Const(Value::str(q))
+        } else if let Ok(i) = y.parse::<i64>() {
+            CompRhs::Const(Value::Int(i))
+        } else {
+            CompRhs::Const(Value::str(y))
         };
-        by_view.entry(name).or_default().push((idx, branch));
+        let comparison = VarComparison {
+            lhs: parse_var(text(row, 1)?)?,
+            op: parse_op(text(row, 2)?)?,
+            rhs,
+        };
+        let branch = branches.entry(text(row, 0)?.to_owned()).or_default();
+        branch.1.push(comparison);
     }
+
+    // Group the branches by view (in branch order), then install the
+    // views in id order.
+    let mut by_view: BTreeMap<String, BTreeMap<usize, (TupleId, NormalizedView)>> = BTreeMap::new();
+    for (tag, (atoms, comparisons)) in branches {
+        let (name, k) = match tag.split_once('#') {
+            Some((n, k)) => (n, k.parse().map_err(|_| bad(format!("bad tag {tag}")))?),
+            None => (tag.as_str(), 1),
+        };
+        let first = *atoms
+            .keys()
+            .next()
+            .ok_or_else(|| bad(format!("{tag} has no meta-tuples")))?;
+        let nv = NormalizedView {
+            name: name.to_owned(),
+            atoms: atoms.into_values().collect(),
+            comparisons,
+        };
+        let parts = by_view.entry(name.to_owned()).or_default();
+        if parts.insert(k, (first, nv)).is_some() {
+            return Err(bad(format!("duplicate branch {tag}")));
+        }
+    }
+    let mut views: Vec<(String, Vec<(TupleId, NormalizedView)>)> = by_view
+        .into_iter()
+        .map(|(name, parts)| (name, parts.into_values().collect()))
+        .collect();
+    views.sort_by_key(|(_, parts)| parts[0].0);
 
     let mut store = AuthStore::new(scheme.clone());
-    for (name, mut parts) in by_view {
-        parts.sort_by_key(|(idx, _)| *idx);
-        let normalized: Vec<NormalizedView> = parts
-            .into_iter()
-            .map(|(_, mut b)| {
-                b.atoms.sort_by_key(|(ordinal, _)| *ordinal);
-                NormalizedView {
-                    name: name.clone(),
-                    atoms: b.atoms.into_iter().map(|(_, a)| a).collect(),
-                    comparisons: b.comparisons,
-                }
-            })
-            .collect();
-        store.define_view_from_storage(&name, normalized)?;
+    for (name, parts) in &views {
+        store.define_view_from_storage(name, parts)?;
     }
-
-    if let Some(table) = tables.get("PERMISSION") {
-        for row in table.rows() {
-            let principal = row.value(0).as_str().unwrap_or_default();
-            let view = row.value(1).as_str().unwrap_or_default();
-            match principal.strip_prefix("group:") {
-                Some(g) => store.permit_group(view, g)?,
-                None => store.permit(view, principal)?,
-            }
+    for row in table(tables, "AGGREGATE", 2)?.rows() {
+        match parse_statement(text(row, 1)?) {
+            Ok(Statement::AggregateView(q)) => store.define_aggregate_view(&q)?,
+            _ => return Err(bad(format!("bad aggregate view {row}"))),
         }
     }
-    if let Some(table) = tables.get("MEMBERSHIP") {
-        for row in table.rows() {
-            let group = row.value(0).as_str().unwrap_or_default();
-            let user = row.value(1).as_str().unwrap_or_default();
-            store.add_member(group, user);
+    for row in table(tables, "PERMISSION", 2)?.rows() {
+        let (principal, view) = (text(row, 0)?, text(row, 1)?);
+        match principal.strip_prefix("group:") {
+            Some(g) => store.permit_group(view, g)?,
+            None => store.permit(view, principal)?,
         }
     }
+    for row in table(tables, "MEMBERSHIP", 2)?.rows() {
+        store.add_member(text(row, 0)?, text(row, 1)?);
+    }
+    store.restore_settings(
+        setting(tables, "next_tuple")?,
+        setting(tables, "next_var")?,
+        setting(tables, "selfjoin_rounds")?,
+        setting(tables, "epoch")?,
+    );
     Ok(store)
 }
 
@@ -335,11 +374,7 @@ fn parse_op(s: &str) -> CoreResult<motro_rel::CompOp> {
         "<=" => Le,
         ">" => Gt,
         ">=" => Ge,
-        other => {
-            return Err(CoreError::Internal(format!(
-                "bad comparator in storage: {other}"
-            )))
-        }
+        other => return Err(bad(format!("bad comparator {other}"))),
     })
 }
 
@@ -478,6 +513,44 @@ mod tests {
                     .collect::<Vec<_>>()
             );
         }
+    }
+
+    /// Views defined out of name order: a decoder that installed them
+    /// by name would renumber AA's salary variable from x2 to x1, and
+    /// the mask would render differently.
+    #[test]
+    fn reboot_keeps_ids_so_masks_render_identically() {
+        let db = fixtures::paper_database();
+        let mut store = AuthStore::new(db.schema().clone());
+        for stmt in [
+            "view ZZ (EMPLOYEE:1.NAME, EMPLOYEE:2.NAME, EMPLOYEE:1.TITLE)
+               where EMPLOYEE:1.TITLE = EMPLOYEE:2.TITLE",
+            "view AA (EMPLOYEE.NAME, EMPLOYEE.SALARY) where EMPLOYEE.SALARY >= 30000",
+            "view MM (EMPLOYEE.NAME, EMPLOYEE.TITLE)",
+        ] {
+            let Ok(Statement::View(q)) = parse_statement(stmt) else {
+                panic!("{stmt}")
+            };
+            store.define_view(&q).unwrap();
+            store.permit(q.name.as_deref().unwrap(), "Brown").unwrap();
+        }
+        let Ok(Statement::Retrieve(q)) = parse_statement(
+            "retrieve (EMPLOYEE:1.NAME, EMPLOYEE:2.NAME, EMPLOYEE:1.TITLE, EMPLOYEE:1.SALARY)
+               where EMPLOYEE:1.TITLE = EMPLOYEE:2.TITLE",
+        ) else {
+            panic!()
+        };
+        let live = AuthorizedEngine::new(&db, &store)
+            .retrieve("Brown", &q)
+            .unwrap();
+        let rebooted = decode_store(db.schema(), &encode_store(&store).unwrap()).unwrap();
+        let back = AuthorizedEngine::new(&db, &rebooted)
+            .retrieve("Brown", &q)
+            .unwrap();
+        let render = live.mask.canonical_render();
+        assert!(render.contains("x2 >= 30000"), "{render}");
+        assert_eq!(render, back.mask.canonical_render());
+        assert_eq!(store.next_var_hint(), rebooted.next_var_hint());
     }
 
     #[test]

@@ -28,7 +28,6 @@ use crate::selfjoin;
 use motro_mat::{Dep, DepSet, Touched};
 use motro_rel::{DbSchema, Relation};
 use motro_views::{normalize, CompRhs, ConjunctiveQuery, NormalizedView, VarTerm};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Bookkeeping for one conjunctive branch of a view. A plain
@@ -36,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Section 6 extension: "the current methods can be extended to handle
 /// views with disjunctions") stores one branch per disjunct, each with
 /// its own meta-tuples and variables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BranchEntry {
     /// The branch's surface statement.
     pub definition: ConjunctiveQuery,
@@ -49,7 +48,7 @@ pub struct BranchEntry {
 }
 
 /// Bookkeeping for one defined view: its conjunctive branches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ViewEntry {
     /// The branches (one for a plain conjunctive view).
     pub branches: Vec<BranchEntry>,
@@ -72,7 +71,7 @@ impl ViewEntry {
 }
 
 /// The meta-relations, `COMPARISON`, `PERMISSION`, and stored self-joins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AuthStore {
     scheme: DbSchema,
     views: BTreeMap<String, ViewEntry>,
@@ -92,8 +91,6 @@ pub struct AuthStore {
     /// settings). A mask computed for `(user, plan)` is a pure function
     /// of the store state, so it stays valid exactly while the epoch
     /// does not move — the invariant external mask caches rely on.
-    /// Absent in pre-epoch serialized states, hence the default.
-    #[serde(default)]
     epoch: u64,
     /// The authorization objects changed since the last
     /// [`AuthStore::take_touched`]: each mutation reports the precise
@@ -101,8 +98,7 @@ pub struct AuthStore {
     /// caches can invalidate only the entries derived from them.
     /// Direct [`AuthStore::bump_epoch`] calls degrade the batch to
     /// [`Touched::All`] (the old invalidate-everything behaviour).
-    /// Runtime bookkeeping, never serialized.
-    #[serde(skip)]
+    /// Runtime bookkeeping, never stored.
     touched: Touched,
 }
 
@@ -721,49 +717,6 @@ impl AuthStore {
         self.next_var
     }
 
-    /// The storage position of a *stored* meta-tuple: its branch tag
-    /// (view name, `#k`-suffixed for branches beyond the first) and its
-    /// atom ordinal within the branch (see `core::storage`).
-    pub fn storage_position_of(&self, t: &MetaTuple) -> Option<(String, usize)> {
-        let id = if t.covers.len() == 1 {
-            *t.covers.iter().next().expect("len checked")
-        } else {
-            return None;
-        };
-        for (name, entry) in &self.views {
-            for (bi, b) in entry.branches.iter().enumerate() {
-                if let Some(ordinal) = b.tuple_ids.iter().position(|&x| x == id) {
-                    let tag = if bi == 0 {
-                        name.clone()
-                    } else {
-                        format!("{name}#{}", bi + 1)
-                    };
-                    return Some((tag, ordinal + 1));
-                }
-            }
-        }
-        None
-    }
-
-    /// Every comparison atom with its branch storage tag (for the
-    /// `COMPARISON` relation).
-    pub fn all_comparisons(&self) -> Vec<(String, &ConstraintAtom)> {
-        let mut out = Vec::new();
-        for (name, entry) in &self.views {
-            for (bi, b) in entry.branches.iter().enumerate() {
-                let tag = if bi == 0 {
-                    name.clone()
-                } else {
-                    format!("{name}#{}", bi + 1)
-                };
-                for a in &b.comparisons {
-                    out.push((tag.clone(), a));
-                }
-            }
-        }
-        out
-    }
-
     /// Every grant as `(principal, view)` rows, group principals with
     /// the `group:` prefix (for the `PERMISSION` relation).
     pub fn all_grants(&self) -> Vec<(String, String)> {
@@ -791,32 +744,81 @@ impl AuthStore {
         out
     }
 
-    /// Install a view whose branches arrive pre-normalized (the storage
-    /// decoder's path). Each branch's surface statement is decompiled
-    /// from the normal form.
+    /// Install a view decoded from storage (see `core::storage`). Each
+    /// branch arrives pre-normalized with the id of its first stored
+    /// meta-tuple, and its statement is decompiled from the normal form.
+    /// The counters are set so the branch gets back the tuple and
+    /// variable ids it was stored under; views must therefore arrive in
+    /// id order, and ids that would overlap an earlier view's are an
+    /// error. Self-joins and the epoch are left to
+    /// [`AuthStore::restore_settings`].
     pub(crate) fn define_view_from_storage(
         &mut self,
         name: &str,
-        branches: Vec<motro_views::NormalizedView>,
+        branches: &[(TupleId, NormalizedView)],
     ) -> CoreResult<()> {
         if self.views.contains_key(name) {
             return Err(CoreError::DuplicateView(name.to_owned()));
         }
-        if branches.is_empty() {
-            return Err(CoreError::Internal(
-                "a view needs at least one branch".to_owned(),
-            ));
-        }
         let mut entries = Vec::with_capacity(branches.len());
-        for nv in &branches {
+        for (first_tuple, nv) in branches {
+            let first_var = nv
+                .atoms
+                .iter()
+                .flat_map(|a| &a.terms)
+                .filter_map(|t| match t {
+                    VarTerm::Var(x) => Some(*x),
+                    _ => None,
+                })
+                .min();
+            if *first_tuple < self.next_tuple || first_var.is_some_and(|x| x < self.next_var) {
+                return Err(CoreError::Storage(format!(
+                    "stored ids of view {name} overlap an earlier view's"
+                )));
+            }
+            self.next_tuple = *first_tuple;
+            self.next_var = first_var.unwrap_or(self.next_var);
             let definition = motro_views::decompile(nv, &self.scheme)?;
             entries.push(self.install_normalized(name, definition, nv)?);
         }
         self.views
             .insert(name.to_owned(), ViewEntry { branches: entries });
-        self.regenerate_selfjoins();
-        self.bump_epoch();
         Ok(())
+    }
+
+    /// The defined aggregate views, by name.
+    pub(crate) fn aggregate_views(&self) -> &BTreeMap<String, motro_views::AggregateQuery> {
+        &self.aggregate_views
+    }
+
+    /// The store's scalar state, as the `SETTINGS` rows of
+    /// `core::storage`: the id counters, the self-join rounds, and the
+    /// epoch.
+    pub(crate) fn settings(&self) -> [(&'static str, u64); 4] {
+        [
+            ("next_tuple", self.next_tuple.into()),
+            ("next_var", self.next_var.into()),
+            ("selfjoin_rounds", self.selfjoin_rounds as u64),
+            ("epoch", self.epoch),
+        ]
+    }
+
+    /// Finish a storage decode: restore the [`AuthStore::settings`]
+    /// (counters never move below an id already in use), regenerate the
+    /// self-joins, and start from an empty touched-set.
+    pub(crate) fn restore_settings(
+        &mut self,
+        next_tuple: TupleId,
+        next_var: VarId,
+        selfjoin_rounds: usize,
+        epoch: u64,
+    ) {
+        self.next_tuple = self.next_tuple.max(next_tuple);
+        self.next_var = self.next_var.max(next_var);
+        self.selfjoin_rounds = selfjoin_rounds;
+        self.epoch = epoch;
+        self.regenerate_selfjoins();
+        self.touched = Touched::default();
     }
 }
 

@@ -22,12 +22,11 @@ use crate::relation::Relation;
 use crate::schema::{Column, QualifiedAttr, RelSchema};
 use crate::tuple::Tuple;
 use crate::value::{Domain, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// An aggregate function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// Number of (distinct) tuples in the group.
     Count,

@@ -5,7 +5,6 @@ use crate::relation::Relation;
 use crate::schema::{RelName, RelSchema};
 use crate::tuple::Tuple;
 use crate::value::Domain;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Definition of one base relation: its schema plus an optional key.
@@ -14,7 +13,7 @@ use std::collections::BTreeMap;
 /// *self-join* refinement, which may combine meta-tuples only when the
 /// corresponding subviews "can participate in a lossless join (for
 /// example, both subviews include the key of this relation)".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationDef {
     /// The relation's schema.
     pub schema: RelSchema,
@@ -23,7 +22,7 @@ pub struct RelationDef {
 }
 
 /// A database scheme: relation definitions by name.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DbSchema {
     relations: BTreeMap<RelName, RelationDef>,
 }
@@ -99,7 +98,7 @@ impl DbSchema {
 }
 
 /// A database instance: one [`Relation`] per scheme entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Database {
     schema: DbSchema,
     instances: BTreeMap<RelName, Relation>,

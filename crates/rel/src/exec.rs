@@ -23,8 +23,6 @@
 //! `motro-core::meta_algebra` for the one exception, Basic-mode
 //! selection, which stays sequential).
 
-use serde::{Deserialize, Serialize};
-
 /// Environment variable consulted by [`ExecConfig::from_env`] for the
 /// worker count (used by test suites, where no `--workers` flag
 /// exists).
@@ -45,7 +43,7 @@ pub const DEFAULT_MIN_PARTITION_ROWS: usize = 128;
 /// threading overhead. Changing the config never changes results — only
 /// wall-clock time — so it does not participate in the authorization
 /// epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Maximum worker threads per partitioned operator.
     pub workers: usize,

@@ -20,11 +20,10 @@ use crate::error::{RelError, RelResult};
 use crate::predicate::{Predicate, PredicateAtom, Term};
 use crate::relation::Relation;
 use crate::schema::{RelName, RelSchema};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A free-form product/selection/projection expression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AlgebraExpr {
     /// A base relation reference.
     Base(RelName),
@@ -206,7 +205,7 @@ struct Flat {
 
 /// The paper's canonical plan: products first, then one conjunctive
 /// selection, then one projection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CanonicalPlan {
     /// Base relations in product order (repeats allowed — self-products).
     pub relations: Vec<RelName>,

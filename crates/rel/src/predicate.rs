@@ -11,12 +11,11 @@ use crate::error::{RelError, RelResult};
 use crate::schema::RelSchema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A comparator θ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CompOp {
     /// `=`
     Eq,
@@ -106,7 +105,7 @@ impl fmt::Display for CompOp {
 
 /// The right-hand side of a primitive comparison: another column or a
 /// constant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Term {
     /// A column index within the operand schema.
     Col(usize),
@@ -124,7 +123,7 @@ impl fmt::Display for Term {
 }
 
 /// A primitive comparison `#lhs θ rhs`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PredicateAtom {
     /// Left-hand column index.
     pub lhs: usize,
@@ -200,7 +199,7 @@ impl fmt::Display for PredicateAtom {
 
 /// A conjunction of primitive comparisons. The empty conjunction is
 /// `true`.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Predicate {
     /// The conjuncts.
     pub atoms: Vec<PredicateAtom>,

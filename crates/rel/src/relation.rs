@@ -8,48 +8,18 @@
 use crate::error::RelResult;
 use crate::schema::RelSchema;
 use crate::tuple::Tuple;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
 /// A schema plus a duplicate-free collection of tuples.
 ///
 /// Rows preserve insertion order (so reproduced paper tables print in the
-/// paper's order) while a hash index enforces set semantics. The index
-/// is rebuilt when a relation is deserialized (see `RelationSerde`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(from = "RelationSerde", into = "RelationSerde")]
+/// paper's order) while a hash index enforces set semantics.
+#[derive(Debug, Clone)]
 pub struct Relation {
     schema: RelSchema,
     rows: Vec<Tuple>,
     index: HashSet<Tuple>,
-}
-
-/// Wire format for [`Relation`]: schema and rows only.
-#[derive(Serialize, Deserialize)]
-struct RelationSerde {
-    schema: RelSchema,
-    rows: Vec<Tuple>,
-}
-
-impl From<RelationSerde> for Relation {
-    fn from(w: RelationSerde) -> Relation {
-        let index = w.rows.iter().cloned().collect();
-        Relation {
-            schema: w.schema,
-            rows: w.rows,
-            index,
-        }
-    }
-}
-
-impl From<Relation> for RelationSerde {
-    fn from(r: Relation) -> RelationSerde {
-        RelationSerde {
-            schema: r.schema,
-            rows: r.rows,
-        }
-    }
 }
 
 impl Relation {
@@ -238,18 +208,6 @@ mod tests {
         let b = Relation::from_rows(schema(), vec![tuple!["y", 2], tuple!["x", 1]]).unwrap();
         assert!(a.set_eq(&b));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serde_round_trip_rebuilds_index() {
-        let mut r = Relation::new(schema());
-        r.insert(tuple!["x", 1]).unwrap();
-        let json = serde_json::to_string(&r).unwrap();
-        let mut back: Relation = serde_json::from_str(&json).unwrap();
-        assert!(back.contains(&tuple!["x", 1]));
-        // Set semantics still hold after deserialization.
-        assert!(!back.insert(tuple!["x", 1]).unwrap());
-        assert_eq!(back.len(), 1);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use crate::error::{RelError, RelResult};
 use crate::value::Domain;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A relation name (e.g. `EMPLOYEE`).
@@ -28,7 +27,7 @@ pub type AttrName = String;
 
 /// A fully qualified attribute: relation name, occurrence of that relation
 /// within the enclosing expression (1-based), and attribute name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QualifiedAttr {
     /// The relation the column descends from.
     pub rel: RelName,
@@ -73,7 +72,7 @@ impl fmt::Display for QualifiedAttr {
 }
 
 /// One column of a schema: its provenance plus its domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Provenance-qualified name.
     pub qual: QualifiedAttr,
@@ -87,7 +86,7 @@ pub struct Column {
 /// Order matters operationally (tuples are positional) even though the
 /// calculus treats schemes as attribute sets; the paper's meta-relations
 /// mirror the column order of the actual relations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelSchema {
     columns: Vec<Column>,
 }

@@ -3,14 +3,13 @@
 use crate::error::{RelError, RelResult};
 use crate::schema::RelSchema;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A positional row of values.
 ///
 /// Tuples are untyped on their own; [`Tuple::check_against`] validates a
 /// tuple against a schema (arity and per-column domains).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple {
     values: Vec<Value>,
 }

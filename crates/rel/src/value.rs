@@ -6,12 +6,11 @@
 //! total order. Cross-domain comparisons are a type error surfaced by
 //! [`Value::compare`].
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// The domain (type) of an attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// 64-bit signed integers (salaries, budgets, ...).
     Int,
@@ -33,7 +32,7 @@ impl fmt::Display for Domain {
 /// Values are totally ordered *within* a domain; ordering across domains
 /// is not meaningful and the engine rejects it during predicate
 /// type-checking.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// An integer value.
     Int(i64),

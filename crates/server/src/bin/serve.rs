@@ -23,9 +23,11 @@
 //! the next retrieval hits the cache again. `--no-materialize` turns
 //! warm-on-write off; `--working-set 0` does too (no candidates).
 //!
-//! With `--state`, the server loads a [`Frontend::to_json`] snapshot;
-//! otherwise it starts from the paper's example database (handy for
-//! demos: `permit`/`view` statements can be issued over the wire).
+//! With `--state`, the server loads a [`Frontend::to_json`] snapshot —
+//! a `save` reply, or a journal segment's `open` state — and serves
+//! from its saved epoch; otherwise it starts from the paper's example
+//! database (handy for demos: `permit`/`view` statements can be issued
+//! over the wire).
 //! Diagnostics go to stderr through the structured log sink
 //! ([`motro_obs::log`]); `--log-format json` emits one JSON object per
 //! line for log shippers.

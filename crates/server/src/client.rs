@@ -65,11 +65,8 @@ pub struct Rows {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainReply {
     pub epoch: u64,
-    /// Human-readable audit (always present).
+    /// The rendered [`AuthExplain`](motro_authz::core::AuthExplain).
     pub rendered: String,
-    /// The structured [`AuthExplain`](motro_authz::core::AuthExplain)
-    /// as raw JSON (`null` if the server could not serialize it).
-    pub audit: Value,
 }
 
 /// A blocking connection bound to one principal.
@@ -369,7 +366,6 @@ impl Client {
         Ok(ExplainReply {
             epoch: field_u64(&reply, "epoch")?,
             rendered: field_str(&reply, "rendered")?,
-            audit: reply.get("audit").cloned().unwrap_or(Value::Null),
         })
     }
 

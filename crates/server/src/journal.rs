@@ -841,14 +841,6 @@ mod tests {
         fe
     }
 
-    /// Replay needs [`Frontend::from_json`]; the offline build stubs
-    /// out serde's Deserialize, so these tests only run where real
-    /// serde is available (any networked build).
-    fn deserialization_available() -> bool {
-        let fe = frontend();
-        Frontend::from_json(&fe.to_json().unwrap()).is_ok()
-    }
-
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("motro-journal-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -883,9 +875,6 @@ mod tests {
 
     #[test]
     fn round_trip_replays_byte_identically() {
-        if !deserialization_available() {
-            return;
-        }
         let path = tmp("round");
         let mut fe = frontend();
         let journal = Journal::open(
@@ -915,8 +904,8 @@ mod tests {
     }
 
     /// The same round trip with the `open` records stripped and the
-    /// state pre-seeded, so the comparison logic runs even where
-    /// [`Frontend::from_json`] is stubbed out (the offline build).
+    /// state pre-seeded: the comparison logic does not depend on the
+    /// snapshot.
     #[test]
     fn replay_comparisons_work_with_preseeded_state() {
         let path = tmp("preseed");
@@ -965,9 +954,6 @@ mod tests {
 
     #[test]
     fn tampered_mask_is_detected() {
-        if !deserialization_available() {
-            return;
-        }
         let path = tmp("tamper");
         let fe = frontend();
         let journal = Journal::open(
@@ -989,9 +975,6 @@ mod tests {
 
     #[test]
     fn rotation_produces_self_contained_segments() {
-        if !deserialization_available() {
-            return;
-        }
         let path = tmp("rotate");
         let fe = frontend();
         let config = JournalConfig {

@@ -1049,15 +1049,7 @@ fn dispatch(ctx: &Ctx, principal: &str, request: Request) -> Value {
                 return denied(id, &format!("audit access for {target}"));
             }
             fe.with_read(|f| match f.explain_query(&target, &stmt) {
-                Ok(audit) => {
-                    // A serialization failure degrades `audit` to null;
-                    // the rendered form still carries the explanation.
-                    let value = serde_json::to_string(&audit)
-                        .ok()
-                        .and_then(|s| s.parse::<Value>().ok())
-                        .unwrap_or(Value::Null);
-                    wire::explain(id, f.auth_epoch(), value, &audit.render())
-                }
+                Ok(audit) => wire::explain(id, f.auth_epoch(), &audit.render()),
                 Err(e) => wire::error(Some(id), error_code(&e), &e.to_string()),
             })
         }

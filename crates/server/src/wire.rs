@@ -39,9 +39,11 @@
 //!
 //! `explain` audits the session principal's own access by default; the
 //! optional `user` field audits another principal and requires the
-//! administrative capability. The reply embeds the full
-//! [`motro_authz::core::AuthExplain`] structure (as `audit`) plus its
-//! human-readable rendering (as `rendered`).
+//! administrative capability. The reply carries the rendered
+//! [`motro_authz::core::AuthExplain`] (as `rendered`): candidate
+//! meta-tuples, R2 decisions, the surviving mask, and per-cell reasons.
+//! Rust callers get the structure itself from
+//! [`motro_authz::Frontend::explain_query`].
 //!
 //! `debug` answers from the introspection route table
 //! ([`crate::debug`]) that also serves the HTTP listener: `/metrics`,
@@ -484,15 +486,13 @@ pub fn profile(id: u64, epoch: u64, tree: Value, rendered: &str, outcome: Value)
     ])
 }
 
-/// `explain` — the audit of one retrieval. `audit` is the serialized
-/// [`motro_authz::core::AuthExplain`]; `rendered` its human-readable
-/// form for clients that just want to print it.
-pub fn explain(id: u64, epoch: u64, audit: Value, rendered: &str) -> Value {
+/// `explain` — the audit of one retrieval: the rendered
+/// [`motro_authz::core::AuthExplain`].
+pub fn explain(id: u64, epoch: u64, rendered: &str) -> Value {
     obj(vec![
         ("type", Value::from("explain")),
         ("id", Value::from(id)),
         ("epoch", Value::from(epoch)),
-        ("audit", audit),
         ("rendered", Value::from(rendered)),
     ])
 }

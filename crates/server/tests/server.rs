@@ -431,7 +431,35 @@ fn save_returns_a_snapshot_and_queries_keep_working() {
     let server = start(ServerConfig::default());
     let mut c = Client::connect(server.local_addr(), "Brown").unwrap();
     let snapshot = c.save().unwrap();
-    assert!(!snapshot.is_empty());
+    let saved_epoch = c.epoch();
+
+    // A second server restored from the snapshot opens at the saved
+    // epoch and answers every statement byte for byte as the first.
+    let restored = Frontend::from_json(&snapshot).unwrap();
+    let twin = Server::bind(
+        "127.0.0.1:0",
+        SharedFrontend::new(restored),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut d = Client::connect(twin.local_addr(), "Brown").unwrap();
+    assert_eq!(d.epoch(), saved_epoch);
+    for stmt in [
+        Q,
+        "retrieve (PROJECT.NUMBER, PROJECT.BUDGET) where PROJECT.BUDGET >= 250,000",
+        "retrieve (EMPLOYEE.NAME, EMPLOYEE.SALARY)",
+    ] {
+        assert_eq!(
+            c.retrieve(stmt).unwrap(),
+            d.retrieve(stmt).unwrap(),
+            "{stmt}"
+        );
+        let (a, b) = (
+            c.explain(stmt, None).unwrap(),
+            d.explain(stmt, None).unwrap(),
+        );
+        assert_eq!(a, b, "{stmt}");
+    }
     assert_eq!(c.retrieve(Q).unwrap().rows.len(), 1);
 }
 

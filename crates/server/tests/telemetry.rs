@@ -26,16 +26,6 @@ fn frontend() -> SharedFrontend {
 
 const Q: &str = "retrieve (PROJECT.NUMBER, PROJECT.SPONSOR)";
 
-/// The stub serde_json used in offline builds can serialize but not
-/// deserialize; journal replay restores `open` records with
-/// [`Frontend::from_json`], so those assertions only run where a real
-/// serde is available.
-fn deserialization_available() -> bool {
-    let fe = Frontend::with_database(fixtures::paper_database());
-    let json = fe.to_json().unwrap();
-    Frontend::from_json(&json).is_ok()
-}
-
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("motro-telemetry-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -340,9 +330,6 @@ fn journal_round_trip_survives_rotation_and_restart() {
         "restart must re-open the journal with a state snapshot"
     );
 
-    if !deserialization_available() {
-        return; // stub serde: replay cannot restore `open` snapshots
-    }
     // Replay must verify byte-identically — and be worker-count
     // independent, per the model's purity claim.
     for exec in [ExecConfig::sequential(), ExecConfig::with_workers(4)] {
@@ -356,9 +343,6 @@ fn journal_round_trip_survives_rotation_and_restart() {
 
 #[test]
 fn tampered_journal_records_fail_replay() {
-    if !deserialization_available() {
-        return; // stub serde: replay cannot restore `open` snapshots
-    }
     let path = tmp("tamper");
     let mut server = Server::bind(
         "127.0.0.1:0",
@@ -392,10 +376,9 @@ fn tampered_journal_records_fail_replay() {
 
 #[test]
 fn journal_records_are_well_formed_jsonl() {
-    // Independent of replay (which needs real serde), every journal
-    // line must parse as a JSON object with a `t` discriminator and a
-    // numeric epoch — the contract `motro-audit show` and log shippers
-    // rely on.
+    // Independent of replay, every journal line must parse as a JSON
+    // object with a `t` discriminator and a numeric epoch — the
+    // contract `motro-audit show` and log shippers rely on.
     let path = tmp("wellformed");
     let mut server = Server::bind(
         "127.0.0.1:0",

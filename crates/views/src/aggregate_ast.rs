@@ -9,11 +9,10 @@
 use crate::ast::{AttrRef, ConjunctiveQuery};
 use crate::compile::compile;
 use motro_rel::{AggFunc, CanonicalPlan, DbSchema, RelError, RelResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A grouped aggregate over a conjunctive base.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregateQuery {
     /// The conjunctive base; its targets are the group-by keys (may be
     /// empty for a scalar aggregate).

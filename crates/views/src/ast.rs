@@ -1,12 +1,11 @@
 //! Surface ASTs for conjunctive views and queries.
 
 use motro_rel::{CompOp, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A reference to an attribute of a relation occurrence, as written in
 /// the paper's statements: `EMPLOYEE.NAME` or `EMPLOYEE:2.NAME`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AttrRef {
     /// Relation name.
     pub rel: String,
@@ -53,7 +52,7 @@ impl fmt::Display for AttrRef {
 }
 
 /// The right-hand side of a comparative subformula.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CalcTerm {
     /// Another attribute reference.
     Attr(AttrRef),
@@ -102,6 +101,12 @@ impl fmt::Display for CalcTerm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CalcTerm::Attr(a) => write!(f, "{a}"),
+            // The lexer has no escapes: a string holding a `'` is
+            // quoted with `"` (one holding both quotes cannot be
+            // written at all).
+            CalcTerm::Const(motro_rel::Value::Str(s)) if s.contains('\'') => {
+                write!(f, "\"{s}\"")
+            }
             CalcTerm::Const(motro_rel::Value::Str(s)) if !bare_safe(s) => {
                 write!(f, "'{s}'")
             }
@@ -111,7 +116,7 @@ impl fmt::Display for CalcTerm {
 }
 
 /// A comparative subformula `lhs θ rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalcAtom {
     /// Left attribute reference.
     pub lhs: AttrRef,
@@ -133,7 +138,7 @@ impl fmt::Display for CalcAtom {
 /// statement and the `retrieve (targets) where atoms` statement; a query
 /// is simply an unnamed view (Section 2: "Queries are simply requests to
 /// access particular views").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConjunctiveQuery {
     /// View name (`None` for ad-hoc queries).
     pub name: Option<String>,

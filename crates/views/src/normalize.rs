@@ -22,14 +22,13 @@
 use crate::ast::{CalcTerm, ConjunctiveQuery};
 use crate::compile::resolve_factors;
 use motro_rel::{CompOp, DbSchema, RelError, RelResult, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A view-scoped variable identifier (the paper's `x₁, x₂, …`).
 pub type VarId = u32;
 
 /// One position of a normalized membership atom.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VarTerm {
     /// A constant (`Acme`).
     Const(Value),
@@ -51,7 +50,7 @@ impl fmt::Display for VarTerm {
 
 /// A normalized membership subformula: one row destined for the
 /// meta-relation of `rel`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MembershipAtom {
     /// The relation this atom ranges over.
     pub rel: String,
@@ -62,7 +61,7 @@ pub struct MembershipAtom {
 }
 
 /// The right-hand side of a retained (non-equality) comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CompRhs {
     /// Another variable.
     Var(VarId),
@@ -80,7 +79,7 @@ impl fmt::Display for CompRhs {
 }
 
 /// A retained comparison, destined for the `COMPARISON` relation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarComparison {
     /// Left variable.
     pub lhs: VarId,
@@ -97,7 +96,7 @@ impl fmt::Display for VarComparison {
 }
 
 /// A view in the paper's storage normal form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NormalizedView {
     /// View name.
     pub name: String,

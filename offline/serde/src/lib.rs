@@ -1,22 +1,4 @@
-//! Offline stand-in for `serde`: the traits exist only so `use
-//! serde::{Serialize, Deserialize}` and derive bounds resolve. The
-//! derives (re-exported from the stub `serde_derive`) emit nothing;
-//! the stub `serde_json` does not consume these traits.
-
-/// Marker stand-in for `serde::Serialize`.
-pub trait Serialize {}
-impl<T: ?Sized> Serialize for T {}
-
-/// Marker stand-in for `serde::Deserialize`.
-pub trait Deserialize<'de>: Sized {}
-impl<'de, T> Deserialize<'de> for T {}
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
-
-/// Mirror of `serde::de` far enough for `DeserializeOwned` bounds.
-pub mod de {
-    /// Marker stand-in for `serde::de::DeserializeOwned`.
-    pub trait DeserializeOwned {}
-    impl<T> DeserializeOwned for T {}
-}
+//! Offline stand-in for `serde`. It exists only so the stub
+//! `serde_json`'s dependency on `serde` resolves: nothing in the
+//! workspace derives or consumes serde traits, and JSON is built and
+//! read through `serde_json::Value`.

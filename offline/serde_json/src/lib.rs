@@ -2,17 +2,16 @@
 //!
 //! [`Value`], [`Map`], and [`Number`] are *real*: a full JSON parser
 //! (via [`std::str::FromStr`]) and serde_json-compatible compact
-//! rendering (via [`std::fmt::Display`]), since the server's wire
-//! protocol, journal, and stats paths depend on them. [`to_string`]
-//! renders through `Debug` (the stub serde derives are no-ops), and
-//! typed [`from_str`] always errors — callers gate on that (see the
-//! workspace's `deserialization_available()` helpers).
+//! rendering (via [`std::fmt::Display`]). They are the whole API the
+//! workspace uses: every JSON document it writes or reads, the state
+//! snapshot included, is built and inspected as a [`Value`]. Typed
+//! `to_string`/`from_str` are deliberately absent.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
-/// A JSON error (parse failure or unsupported stub operation).
+/// A JSON parse error.
 #[derive(Debug, Clone)]
 pub struct Error {
     msg: String,
@@ -738,19 +737,4 @@ impl FromStr for Value {
         }
         Ok(v)
     }
-}
-
-/// Offline `to_string`: renders via `Debug` (the stub derives carry no
-/// structure). [`Value`]s render as real JSON through their `Display`;
-/// use that instead where fidelity matters.
-pub fn to_string<T: ?Sized + fmt::Debug>(value: &T) -> Result<String> {
-    Ok(format!("{value:?}"))
-}
-
-/// Offline typed deserialization is unavailable: always errors (parse
-/// [`Value`]s with `str::parse` instead).
-pub fn from_str<T>(_s: &str) -> Result<T> {
-    Err(Error::new(
-        "offline serde_json stub cannot deserialize typed values",
-    ))
 }

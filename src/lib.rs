@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod concurrent;
+mod snapshot;
 
 pub use concurrent::SharedFrontend;
 pub use motro_baselines as baselines;
@@ -56,7 +57,6 @@ use motro_core::{
 };
 use motro_lang::{parse_program, parse_statement, ParseError, Principal, Statement};
 use motro_rel::{Database, DbSchema, ExecConfig, RelError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors surfaced by the front-end.
@@ -125,16 +125,17 @@ impl RetrieveOutcome {
 
 /// The Section 6 front-end: a database, an authorization store, and a
 /// statement interface over both.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Frontend {
+    /// The base relations.
     db: Database,
+    /// The authorization state: the paper's Section 3 relations.
     store: AuthStore,
+    /// The refinements the engine runs with; persisted with the store.
     config: RefinementConfig,
-    /// Executor policy for the partitioned mask pipeline. Defaults (and
-    /// deserializes, for snapshots predating it) to sequential; it never
-    /// changes results, so it participates in neither snapshots'
-    /// semantic content nor the authorization epoch.
-    #[serde(default)]
+    /// Executor policy for the partitioned mask pipeline, read from the
+    /// environment. It never changes results, so it is part of neither
+    /// the snapshot nor the authorization epoch.
     exec: ExecConfig,
 }
 
@@ -338,17 +339,20 @@ impl Frontend {
         self.store.add_member(group, user);
     }
 
-    /// Serialize the entire front-end state (data, views, grants,
-    /// configuration) to JSON.
+    /// Snapshot the entire front-end state (data, views, grants,
+    /// refinement configuration, epoch) as one JSON document of
+    /// relations: the base relations plus the paper's Section 3
+    /// authorization relations (see `core::storage`).
     pub fn to_json(&self) -> Result<String, FrontendError> {
-        serde_json::to_string(self)
-            .map_err(|e| FrontendError::Unexpected(format!("serialize: {e}")))
+        snapshot::encode(self)
     }
 
-    /// Restore a front-end from [`Frontend::to_json`] output.
+    /// Restore a front-end from [`Frontend::to_json`] output. The
+    /// restored state renders every mask byte for byte as the saved one
+    /// did; the executor configuration comes from the environment, as in
+    /// [`Frontend::new`]. Malformed input is an error, never a panic.
     pub fn from_json(json: &str) -> Result<Frontend, FrontendError> {
-        serde_json::from_str(json)
-            .map_err(|e| FrontendError::Unexpected(format!("deserialize: {e}")))
+        snapshot::decode(json)
     }
 
     /// Execute an `insert into …` or `delete from …` statement on
@@ -392,20 +396,18 @@ impl Frontend {
                         .collect(),
                     atoms,
                 };
-                let (permitted, denied): (Vec<motro_rel::Tuple>, usize) = {
+                // The reply counts only deleted rows: how many matching
+                // rows lie outside the user's views is itself hidden.
+                let permitted = {
                     let engine = self.engine();
                     let plan = motro_views::compile(&query, self.db.schema())?;
-                    let matching = plan.execute(&self.db)?;
                     let mut ok = Vec::new();
-                    let mut no = 0usize;
-                    for t in matching.rows() {
+                    for t in plan.execute(&self.db)?.rows() {
                         if motro_core::update::check_delete(&engine, user, &rel, t)? {
                             ok.push(t.clone());
-                        } else {
-                            no += 1;
                         }
                     }
-                    (ok, no)
+                    ok
                 };
                 let mut deleted = 0usize;
                 for t in &permitted {
@@ -413,14 +415,7 @@ impl Frontend {
                         deleted += 1;
                     }
                 }
-                Ok(format!(
-                    "deleted {deleted} row(s) from {rel}{}",
-                    if denied > 0 {
-                        format!(" ({denied} matching row(s) outside your views were kept)")
-                    } else {
-                        String::new()
-                    }
-                ))
+                Ok(format!("deleted {deleted} row(s) from {rel}"))
             }
             _ => Err(FrontendError::Unexpected(
                 "expected an insert or delete statement".to_owned(),

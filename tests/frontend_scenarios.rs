@@ -322,7 +322,9 @@ fn update_statements_through_frontend() {
         .execute_update("nurse", "delete from PATIENT where PATIENT.AGE > 0")
         .unwrap();
     assert!(msg.contains("deleted 3 row(s)"), "{msg}");
-    assert!(msg.contains("1 matching row(s) outside"), "{msg}");
+    // The kept onco row is outside the nurse's views: the reply must
+    // not say that it matched.
+    assert!(!msg.contains("outside"), "{msg}");
     let left = fe.database().relation("PATIENT").unwrap();
     assert_eq!(left.len(), 1);
     assert_eq!(
@@ -337,4 +339,21 @@ fn update_statements_through_frontend() {
     // Updates routed through admin/query entry points are rejected.
     assert!(fe.execute_admin("delete from PATIENT").is_err());
     assert!(fe.query("nurse", "delete from PATIENT").is_err());
+}
+
+/// A principal with no grant deletes with two constants, one matching
+/// a hidden salary and one matching nothing. Nothing is deleted either
+/// time, and the replies must not tell the two apart: otherwise
+/// bisecting the constant recovers the hidden value.
+#[test]
+fn delete_reply_reveals_nothing_outside_the_views() {
+    let mut fe = Frontend::with_database(motro_authz::core::fixtures::paper_database());
+    let matches = fe
+        .execute_update("Mal", "delete from EMPLOYEE where EMPLOYEE.SALARY >= 30000")
+        .unwrap();
+    let none = fe
+        .execute_update("Mal", "delete from EMPLOYEE where EMPLOYEE.SALARY >= 90000")
+        .unwrap();
+    assert_eq!(matches, none);
+    assert_eq!(matches, "deleted 0 row(s) from EMPLOYEE");
 }

@@ -24,13 +24,15 @@ fn attr_ref() -> impl Strategy<Value = AttrRef> {
 }
 
 /// Constants whose display re-lexes to the same token: identifier-like
-/// strings and non-negative integers (negative literals and exotic
-/// strings would need quoting that `Display` doesn't emit — a
-/// documented printer limitation, excluded here).
+/// strings, strings with spaces and one kind of quote (`O'Neil`), and
+/// integers of either sign. A string holding both quote kinds has no
+/// printed form (the lexer has no escapes) and is excluded.
 fn constant() -> impl Strategy<Value = Value> {
     prop_oneof![
         "[A-Za-z][A-Za-z0-9_]{0,8}".prop_map(Value::str),
-        (0i64..10_000_000).prop_map(Value::int),
+        "[A-Za-z ']{0,8}".prop_map(Value::str),
+        "[A-Za-z \"]{0,8}".prop_map(Value::str),
+        (-10_000_000i64..10_000_000).prop_map(Value::int),
     ]
 }
 
